@@ -797,6 +797,13 @@ fn flat_kernel_comparison(quick: bool) -> String {
     entries.join(",\n")
 }
 
+/// A thread-curve work column: every thread count's counter, in curve
+/// order (1 / 2 / 4 / 8 threads).
+fn per_thread_count(work: &[u64]) -> String {
+    let cells: Vec<String> = work.iter().map(u64::to_string).collect();
+    cells.join(" / ")
+}
+
 /// Median wall time of `f` over `reps` runs (after one untimed warm-up
 /// run whose result is returned).
 fn bench_median<T>(reps: usize, f: impl Fn() -> T) -> (T, u128) {
@@ -823,7 +830,7 @@ fn parallel_sweep_comparison(quick: bool) -> String {
     let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!("## Work-stealing parallel core: thread curve (PR 7)\n");
     println!("Hardware parallelism on this host: {hw} — the curve flattens there.\n");
-    println!("| workload | verdict | baseline | 1 thread | 2 threads | 4 threads | 8 threads | speedup ×4 | work (all thread counts) |");
+    println!("| workload | verdict | baseline | 1 thread | 2 threads | 4 threads | 8 threads | speedup ×4 | work (1 / 2 / 4 / 8 threads) |");
     println!("|---|---|---|---|---|---|---|---|---|");
     let reps = if quick { 3 } else { 5 };
     let mut entries = Vec::new();
@@ -868,7 +875,7 @@ fn parallel_sweep_comparison(quick: bool) -> String {
         us(Duration::from_nanos(medians[1] as u64)),
         us(Duration::from_nanos(medians[2] as u64)),
         us(Duration::from_nanos(medians[3] as u64)),
-        work[0],
+        per_thread_count(&work),
     );
     entries.push(format!(
         "    {{\n      \"workload\": \"lattice_sweep_unsat_p{pad}\", \"verdict\": \"unsat\",\n      \"baseline\": {{\"kind\": \"level_sync_scopes_4t\", \"median_ns\": {legacy_ns}}},\n      \"threads\": {{\"1\": {}, \"2\": {}, \"4\": {}, \"8\": {}}},\n      \"work_per_thread_count\": {work:?}, \"work_invariant\": true,\n      \"speedup_4t\": {speedup:.4}\n    }}",
@@ -912,7 +919,7 @@ fn parallel_sweep_comparison(quick: bool) -> String {
         us(Duration::from_nanos(medians[1] as u64)),
         us(Duration::from_nanos(medians[2] as u64)),
         us(Duration::from_nanos(medians[3] as u64)),
-        work[0],
+        per_thread_count(&work),
     );
     entries.push(format!(
         "    {{\n      \"workload\": \"wide_unsat_g{groups}w{width}\", \"verdict\": \"unsat\",\n      \"baseline\": {{\"kind\": \"sequential_subsets\", \"median_ns\": {seq_ns}, \"scan_runs\": {seq_runs}}},\n      \"threads\": {{\"1\": {}, \"2\": {}, \"4\": {}, \"8\": {}}},\n      \"scan_runs_per_thread_count\": {work:?}, \"one_worker_matches_sequential\": true,\n      \"speedup_4t\": {speedup:.4}\n    }}",
@@ -1280,7 +1287,7 @@ fn e5() {
     println!("rejecting, so the speedup is guaranteed work division rather than a");
     println!("lucky early witness. Verdicts are identical at every thread count.");
     println!("Hardware parallelism on this host: {hw} (the speedup column is");
-    println!("bounded by it — a single-core host can only show ≈1×):\n");
+    println!("bounded by it — a {hw}-core host can show at most {hw}×):\n");
     println!(
         "| ∏kᵢ scans (wide unsat workload) | sequential | 2 threads | 4 threads | speedup ×4 |"
     );

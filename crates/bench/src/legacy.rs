@@ -14,12 +14,83 @@
 //!   `std::thread::scope` per wave, distributed work through one shared
 //!   atomic cursor and merged successors through `Mutex`-locked shards —
 //!   the baseline for the PR 7 persistent-pool/work-stealing comparison.
+//!
+//! Both key their visited sets on [`PackedFrontier`], the heap-backed,
+//! pre-hashed frontier key the detection crates used before their level
+//! sweeps moved to inline order-preserving keys; the copy lives here so
+//! the baselines stay frozen.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use gpd_computation::{Computation, Cut, FrontierPacker, PackedFrontier};
+use gpd_computation::{fnv1a, Computation, Cut};
+
+/// The superseded frontier packer: entries at a uniform bit width,
+/// process 0 in the lowest bits, fields free to straddle words.
+#[derive(Debug, Clone)]
+struct FrontierPacker {
+    bits: usize,
+    len: usize,
+    words: usize,
+}
+
+impl FrontierPacker {
+    fn new(comp: &Computation) -> Self {
+        let max = (0..comp.process_count())
+            .map(|p| comp.events_on(p) as u32)
+            .max()
+            .unwrap_or(0);
+        let bits = (32 - max.leading_zeros()).max(1) as usize;
+        let len = comp.process_count();
+        FrontierPacker {
+            bits,
+            len,
+            words: (len * bits).div_ceil(64),
+        }
+    }
+
+    fn pack_cut(&self, cut: &Cut) -> PackedFrontier {
+        let frontier = cut.frontier();
+        assert_eq!(frontier.len(), self.len, "frontier shape mismatch");
+        let mut words = vec![0u64; self.words];
+        for (i, &f) in frontier.iter().enumerate() {
+            assert!(
+                (f as u64) < (1u64 << self.bits),
+                "frontier entry {f} exceeds {} bits",
+                self.bits
+            );
+            let bit = i * self.bits;
+            let (w, off) = (bit / 64, bit % 64);
+            words[w] |= (f as u64) << off;
+            if off + self.bits > 64 {
+                words[w + 1] |= (f as u64) >> (64 - off);
+            }
+        }
+        let hash = fnv1a(words.iter().copied());
+        PackedFrontier { words, hash }
+    }
+}
+
+/// A packed frontier on the heap with its FNV-1a hash precomputed at
+/// pack time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PackedFrontier {
+    words: Vec<u64>,
+    hash: u64,
+}
+
+impl PackedFrontier {
+    fn hash_value(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl std::hash::Hash for PackedFrontier {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
 
 /// The PR 2 storage layout: nested heap vectors instead of CSR rows and a
 /// flat clock matrix.

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use gpd::conjunctive::{definitely_conjunctive, possibly_conjunctive};
 use gpd::enumerate::{
-    definitely_by_enumeration, definitely_levelwise_budgeted, possibly_by_enumeration,
+    definitely_levelwise, definitely_levelwise_budgeted, possibly_by_enumeration,
 };
 use gpd::relational::{
     definitely_exact_sum, definitely_exact_sum_budgeted, definitely_sum, definitely_sum_budgeted,
@@ -678,7 +678,7 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                     Ok(format!("{modality}({expr}): {verdict}\n"))
                 } else {
                     guard_enumeration(comp, enumerate, "Definitely(cnf)")?;
-                    let verdict = definitely_by_enumeration(comp, |cut| phi.eval(&truth, cut));
+                    let verdict = definitely_levelwise(comp, |cut| phi.eval(&truth, cut));
                     Ok(format!("{modality}({expr}): {verdict}\n"))
                 }
             } else if opts.active {
@@ -793,7 +793,7 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                     Ok(verdict) => Ok(format!("{modality}({expr}): {verdict}\n")),
                     Err(err) => {
                         guard_enumeration(comp, enumerate, &err.to_string())?;
-                        let verdict = definitely_by_enumeration(comp, |c| var.sum_at(c) == k);
+                        let verdict = definitely_levelwise(comp, |c| var.sum_at(c) == k);
                         Ok(format!("{modality}({expr}): {verdict} (by enumeration)\n"))
                     }
                 },

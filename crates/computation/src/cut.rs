@@ -41,6 +41,11 @@ impl Cut {
         &self.frontier
     }
 
+    /// The frontier vector, for in-place refills of scratch cuts.
+    pub(crate) fn frontier_mut(&mut self) -> &mut Vec<u32> {
+        &mut self.frontier
+    }
+
     /// The number of non-initial events in the cut.
     pub fn event_count(&self) -> usize {
         self.frontier.iter().map(|&f| f as usize).sum()
@@ -68,11 +73,9 @@ impl Cut {
     }
 
     /// An order-stable FNV-1a hash of the frontier — identical across
-    /// runs and hasher seeds, unlike `std`'s randomized `Hash`. Used to
-    /// shard cuts across parallel visited sets; for bulk visited-set
-    /// probes prefer packing via
-    /// [`FrontierPacker`](crate::FrontierPacker), which precomputes the
-    /// same style of hash once.
+    /// runs and hasher seeds, unlike `std`'s randomized `Hash`. For bulk
+    /// visited-set probes prefer packing via
+    /// [`FrontierPacker`](crate::FrontierPacker) into inline keys.
     pub fn fnv_hash(&self) -> u64 {
         crate::packed::fnv1a(self.frontier.iter().map(|&f| f as u64))
     }

@@ -4,7 +4,7 @@ use std::collections::{HashSet, VecDeque};
 
 use crate::computation::Computation;
 use crate::cut::Cut;
-use crate::packed::{FrontierPacker, PackedFrontier};
+use crate::packed::{BuildKeyHasher, FrontierKey, FrontierPacker};
 
 /// Iterator over every consistent cut of a computation, in breadth-first
 /// order from the initial cut (so cuts are yielded in nondecreasing event
@@ -34,32 +34,65 @@ pub struct CutIter<'a> {
     // is level-synchronous so the visited set below can stay small.
     level: VecDeque<Cut>,
     next_level: Vec<Cut>,
-    // Visited cuts are remembered packed (a few pre-hashed u64 words per
-    // frontier) instead of as Vec<u32> keys: the visited set is probed
-    // once per lattice edge, the hottest path of the sweep. The lattice
-    // is graded — every successor of a k-event cut has k+1 events — so
-    // duplicates only arise within the level being built and the set is
-    // cleared at each level boundary, keeping it one level wide (and
-    // cache-resident) instead of history-wide.
+    // The next level's visited keys. The lattice is graded — every
+    // successor of a k-event cut has k+1 events — so duplicates only
+    // arise within the level being built and the set is cleared at each
+    // level boundary, keeping it one level wide.
+    seen: Box<dyn LevelSeen>,
+}
+
+/// Successor expansion against one level's visited set, monomorphized
+/// per [`FrontierKey`] width behind one virtual call per expanded cut.
+trait LevelSeen {
+    /// Pushes the successors of `cut` not seen before onto `next`, in
+    /// increasing process order.
+    fn expand(&mut self, comp: &Computation, cut: &Cut, next: &mut Vec<Cut>);
+    /// Forgets every key (a level boundary).
+    fn clear(&mut self);
+}
+
+/// Visited successors as inline packed keys: the set is probed once per
+/// lattice edge, the hottest path of the sweep, with a successor key
+/// computed as one add on the expanded cut's key. Only genuinely new
+/// cuts allocate a frontier; duplicate edges (the common case — every
+/// cut has up to n predecessors) cost no allocation at all.
+struct KeySet<K> {
     packer: FrontierPacker,
-    seen: HashSet<PackedFrontier>,
-    // Scratch frontier for candidate successors: each expansion bumps
-    // one entry in place, packs, probes the visited set, and only
-    // allocates a `Cut` for genuinely new cuts. Duplicate lattice edges
-    // (the common case — every cut has up to n predecessors) cost no
-    // allocation at all.
-    scratch: Vec<u32>,
+    keys: HashSet<K, BuildKeyHasher>,
+}
+
+impl<K: FrontierKey> LevelSeen for KeySet<K> {
+    fn expand(&mut self, comp: &Computation, cut: &Cut, next: &mut Vec<Cut>) {
+        let key: K = self.packer.pack_cut(cut);
+        let KeySet { packer, keys } = self;
+        comp.for_each_enabled(cut, |p| {
+            if keys.insert(packer.successor(&key, p)) {
+                let mut frontier = cut.frontier().to_vec();
+                frontier[p] += 1;
+                next.push(Cut::from_frontier(frontier));
+            }
+        });
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+    }
 }
 
 impl<'a> CutIter<'a> {
     pub(crate) fn new(comp: &'a Computation) -> Self {
+        let packer = FrontierPacker::new(comp);
+        let seen: Box<dyn LevelSeen> = crate::with_frontier_key!(packer.words(), K => {
+            Box::new(KeySet::<K> {
+                packer,
+                keys: HashSet::default(),
+            })
+        });
         CutIter {
             comp,
             level: VecDeque::from([comp.initial_cut()]),
             next_level: Vec::new(),
-            packer: FrontierPacker::new(comp),
-            seen: HashSet::new(),
-            scratch: vec![0; comp.process_count()],
+            seen,
         }
     }
 }
@@ -76,23 +109,7 @@ impl Iterator for CutIter<'_> {
             self.seen.clear();
         }
         let cut = self.level.pop_front()?;
-        let comp = self.comp;
-        let CutIter {
-            packer,
-            seen,
-            next_level,
-            scratch,
-            ..
-        } = self;
-        scratch.clear();
-        scratch.extend_from_slice(cut.frontier());
-        comp.for_each_enabled(&cut, |p| {
-            scratch[p] += 1;
-            if seen.insert(packer.pack(scratch)) {
-                next_level.push(Cut::from_frontier(scratch.clone()));
-            }
-            scratch[p] -= 1;
-        });
+        self.seen.expand(self.comp, &cut, &mut self.next_level);
         Some(cut)
     }
 }

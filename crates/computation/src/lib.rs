@@ -13,9 +13,9 @@
 //! * [`CutIter`] — breadth-first enumeration of the (generally
 //!   exponential) lattice of consistent cuts — the baseline the paper's
 //!   algorithms beat.
-//! * [`FrontierPacker`] / [`PackedFrontier`] — frontiers packed into a
-//!   few `u64` words with a precomputed hash, so the enumerators'
-//!   visited-set probes stop hashing heap vectors.
+//! * [`FrontierPacker`] / [`FrontierKey`] — frontiers packed into a few
+//!   inline `u64` words whose integer order is `Cut` order, so the
+//!   lattice sweeps sort and deduplicate levels without heap cuts.
 //! * [`BoolVariable`] / [`IntVariable`] — per-state variable annotations
 //!   that predicates evaluate.
 //! * [`Grouping`] — the §3.2 *meta-process* machinery: receive-/send-
@@ -67,7 +67,7 @@ pub use dot::to_dot;
 pub use event::{EventId, EventKind, ProcessId};
 pub use groups::{Grouping, LinearizedOrder, NotOrderedError, OrderingKind};
 pub use lattice::CutIter;
-pub use packed::{fnv1a, FrontierPacker, PackedFrontier};
+pub use packed::{fnv1a, FrontierKey, FrontierPacker};
 pub use stats::{lattice_profile, stats, Stats};
 pub use variables::{BoolVariable, IntVariable};
 pub use vclock::{ClockRef, VectorClock};

@@ -1,14 +1,28 @@
-//! Packed frontier vectors: compact, pre-hashed visited-set keys.
+//! Order-preserving packed frontier keys.
 //!
-//! The lattice enumerators probe visited sets with `Cut`s, which hash a
-//! heap-allocated `Vec<u32>` word by word on every probe. For one fixed
-//! computation a frontier entry for process `p` only ranges over
-//! `0..=events_on(p)`, so the whole frontier packs into a few `u64`
-//! words at a uniform bit width (the same word-packing trick as
+//! For one fixed computation a frontier entry for process `p` only
+//! ranges over `0..=events_on(p)`, so the whole frontier packs into a few
+//! `u64` words at a uniform bit width (the same word-packing trick as
 //! `gpd_order::BitSet`, generalized from 1 bit to ⌈log₂(mₚ+1)⌉ bits per
-//! entry). A [`FrontierPacker`] is built once per computation;
-//! [`PackedFrontier`]s carry their FNV-1a hash precomputed, so set
-//! probes hash a single `u64` and compare a short word slice.
+//! entry). A [`FrontierPacker`] is built once per computation and lays
+//! the entries out **most significant first**: process 0 occupies the top
+//! field of word 0, and no field straddles a word boundary. Two
+//! consequences carry the lattice sweeps:
+//!
+//! * **Key order is [`Cut`] order.** Comparing two keys word by word, and
+//!   each word as an integer, compares the frontiers entry by entry from
+//!   process 0 on — exactly `Cut`'s derived lexicographic order. Sorting
+//!   keys sorts cuts, with no unpacking and no pointer chasing.
+//! * **Successors are one add.** Executing the next event of `p` adds one
+//!   to `p`'s field: `key + unit[p]`, a single in-word add that can never
+//!   carry out of the field (entries stay `≤ events_on(p)`, which fits).
+//!
+//! Keys are plain values implementing [`FrontierKey`]: `[u64; W]` for
+//! the common narrow frontiers and `Box<[u64]>` past them.
+//! [`with_frontier_key!`](crate::with_frontier_key) picks the type once
+//! per call from [`FrontierPacker::words`].
+
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::computation::Computation;
 use crate::cut::Cut;
@@ -16,9 +30,8 @@ use crate::cut::Cut;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// FNV-1a over a stream of `u64` words — the one frontier hash shared by
-/// [`Cut::fnv_hash`], [`PackedFrontier`], and the sharded parallel sweep
-/// in the `gpd` crate (which previously hand-rolled it).
+/// FNV-1a over a stream of `u64` words — the one stable frontier hash
+/// shared by [`Cut::fnv_hash`], checkpoint digests and the bench report.
 pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = FNV_OFFSET;
     for w in words {
@@ -28,16 +41,100 @@ pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// Packs the frontier vectors of one computation into dense `u64` words.
+/// A packed frontier: a fixed-capacity run of `u64` words compared
+/// lexicographically (word 0 most significant). Words past
+/// [`FrontierPacker::words`] stay zero, so one key type serves every
+/// packing that fits it.
+pub trait FrontierKey: Clone + Ord + std::hash::Hash + Send + Sync + std::fmt::Debug {
+    /// An all-zero key with room for `words` words.
+    fn zeroed(words: usize) -> Self;
+    /// The key's words, most significant first.
+    fn words(&self) -> &[u64];
+    /// Mutable access to the key's words.
+    fn words_mut(&mut self) -> &mut [u64];
+}
+
+impl<const W: usize> FrontierKey for [u64; W] {
+    fn zeroed(words: usize) -> Self {
+        debug_assert!(words <= W, "{words} words do not fit a {W}-word key");
+        [0; W]
+    }
+
+    #[inline]
+    fn words(&self) -> &[u64] {
+        self
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        self
+    }
+}
+
+impl FrontierKey for Box<[u64]> {
+    fn zeroed(words: usize) -> Self {
+        vec![0; words].into_boxed_slice()
+    }
+
+    #[inline]
+    fn words(&self) -> &[u64] {
+        self
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        self
+    }
+}
+
+/// Runs `$body` with the type alias `$K` bound to the [`FrontierKey`]
+/// that fits `$words` packed words: an inline `[u64; 1]`, `[u64; 2]` or
+/// `[u64; 4]`, else a boxed slice. Callers dispatch once per call and
+/// run one generic sweep over whichever key results.
 ///
-/// The packing is injective over that computation's valid frontiers
-/// (every entry fits its uniform bit width), so packed equality is
-/// frontier equality.
+/// ```
+/// use gpd_computation::{with_frontier_key, FrontierKey};
+///
+/// fn capacity<K: FrontierKey>(words: usize) -> usize {
+///     K::zeroed(words).words().len()
+/// }
+/// assert_eq!(with_frontier_key!(3, K => capacity::<K>(3)), 4);
+/// assert_eq!(with_frontier_key!(9, K => capacity::<K>(9)), 9);
+/// ```
+#[macro_export]
+macro_rules! with_frontier_key {
+    ($words:expr, $K:ident => $body:expr) => {
+        match $words {
+            0 | 1 => {
+                type $K = [u64; 1];
+                $body
+            }
+            2 => {
+                type $K = [u64; 2];
+                $body
+            }
+            3 | 4 => {
+                type $K = [u64; 4];
+                $body
+            }
+            _ => {
+                type $K = ::std::boxed::Box<[u64]>;
+                $body
+            }
+        }
+    };
+}
+
+/// Packs the frontier vectors of one computation into order-preserving
+/// [`FrontierKey`]s (see the module docs for the layout).
+///
+/// The packing is injective over that computation's valid frontiers, so
+/// key equality is frontier equality and key order is `Cut` order.
 ///
 /// # Example
 ///
 /// ```
-/// use gpd_computation::{ComputationBuilder, FrontierPacker};
+/// use gpd_computation::{ComputationBuilder, Cut, FrontierPacker};
 ///
 /// let mut b = ComputationBuilder::new(2);
 /// b.append(0);
@@ -45,20 +142,23 @@ pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 /// b.append(1);
 /// let comp = b.build().unwrap();
 /// let packer = FrontierPacker::new(&comp);
-/// let a = packer.pack(&[2, 1]);
-/// let b2 = packer.pack(&[2, 1]);
-/// assert_eq!(a, b2);
-/// assert_eq!(a.hash_value(), b2.hash_value());
-/// assert_ne!(a, packer.pack(&[1, 1]));
+/// let a: [u64; 1] = packer.pack(&[2, 1]);
+/// assert_eq!(a, packer.pack::<[u64; 1]>(&[2, 1]));
+/// assert!(packer.pack::<[u64; 1]>(&[1, 1]) < a);
+/// // A successor is one add on the packed key.
+/// assert_eq!(packer.successor(&packer.pack::<[u64; 1]>(&[2, 0]), 1), a);
+/// assert_eq!(packer.unpack(&a), Cut::from_frontier(vec![2, 1]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrontierPacker {
     /// Bits per frontier entry (enough for the largest `events_on`).
-    bits: usize,
+    bits: u32,
     /// Frontier length (process count).
     len: usize,
     /// Packed words per frontier.
     words: usize,
+    /// `(word, shift)` of each process's field.
+    fields: Vec<(usize, u32)>,
 }
 
 impl FrontierPacker {
@@ -70,13 +170,26 @@ impl FrontierPacker {
             .unwrap_or(0);
         // Even all-zero frontiers take one bit per entry, keeping the
         // packing injective by construction rather than by accident.
-        let bits = (32 - max.leading_zeros()).max(1) as usize;
+        let bits = (32 - max.leading_zeros()).max(1);
+        let per_word = (64 / bits) as usize;
         let len = comp.process_count();
+        let fields = (0..len)
+            .map(|p| (p / per_word, 64 - bits * (p % per_word + 1) as u32))
+            .collect();
         FrontierPacker {
             bits,
             len,
-            words: (len * bits).div_ceil(64),
+            words: len.div_ceil(per_word),
+            fields,
         }
+    }
+
+    /// Packed words per frontier: the width [`with_frontier_key!`]
+    /// dispatches on.
+    ///
+    /// [`with_frontier_key!`]: crate::with_frontier_key
+    pub fn words(&self) -> usize {
+        self.words
     }
 
     /// Packs a frontier vector.
@@ -88,53 +201,105 @@ impl FrontierPacker {
     /// assert (not debug-only): a truncated entry would collide with a
     /// different frontier, silently corrupting any visited set keyed on
     /// the packing.
-    pub fn pack(&self, frontier: &[u32]) -> PackedFrontier {
+    pub fn pack<K: FrontierKey>(&self, frontier: &[u32]) -> K {
         assert_eq!(frontier.len(), self.len, "frontier shape mismatch");
-        let mut words = vec![0u64; self.words];
-        for (i, &f) in frontier.iter().enumerate() {
+        let mut key = K::zeroed(self.words);
+        let words = key.words_mut();
+        for (&f, &(w, shift)) in frontier.iter().zip(&self.fields) {
             assert!(
-                (f as u64) < (1u64 << self.bits),
+                u64::from(f) < 1u64 << self.bits,
                 "frontier entry {f} exceeds {} bits",
                 self.bits
             );
-            let bit = i * self.bits;
-            let (w, off) = (bit / 64, bit % 64);
-            words[w] |= (f as u64) << off;
-            if off + self.bits > 64 {
-                words[w + 1] |= (f as u64) >> (64 - off);
-            }
+            words[w] |= u64::from(f) << shift;
         }
-        let hash = fnv1a(words.iter().copied());
-        PackedFrontier { words, hash }
+        key
     }
 
     /// Packs a [`Cut`]'s frontier.
-    pub fn pack_cut(&self, cut: &Cut) -> PackedFrontier {
+    pub fn pack_cut<K: FrontierKey>(&self, cut: &Cut) -> K {
         self.pack(cut.frontier())
     }
-}
 
-/// A packed frontier with its FNV-1a hash precomputed at pack time:
-/// `HashSet` probes hash one `u64` instead of re-walking the vector.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedFrontier {
-    words: Vec<u64>,
-    hash: u64,
-}
+    /// The key of the cut one event of process `p` beyond `key`:
+    /// `key + unit[p]`, with no unpacking.
+    #[inline]
+    pub fn successor<K: FrontierKey>(&self, key: &K, p: usize) -> K {
+        let (w, shift) = self.fields[p];
+        let mut next = key.clone();
+        let word = &mut next.words_mut()[w];
+        debug_assert!(
+            (*word >> shift) & self.mask() < self.mask(),
+            "entry of p{p} would overflow its {}-bit field",
+            self.bits
+        );
+        *word += 1 << shift;
+        next
+    }
 
-impl PackedFrontier {
-    /// The precomputed FNV-1a hash of the packed words. Stable across
-    /// processes and hasher seeds — usable for sharding.
-    pub fn hash_value(&self) -> u64 {
-        self.hash
+    /// Refills `cut` in place with the frontier `key` encodes (no
+    /// allocation once `cut` has the packer's shape).
+    pub fn unpack_into<K: FrontierKey>(&self, key: &K, cut: &mut Cut) {
+        let words = key.words();
+        let mask = self.mask();
+        let frontier = cut.frontier_mut();
+        frontier.clear();
+        frontier.extend(
+            self.fields
+                .iter()
+                .map(|&(w, shift)| ((words[w] >> shift) & mask) as u32),
+        );
+    }
+
+    /// The cut `key` encodes.
+    pub fn unpack<K: FrontierKey>(&self, key: &K) -> Cut {
+        let mut cut = Cut::from_frontier(Vec::with_capacity(self.len));
+        self.unpack_into(key, &mut cut);
+        cut
+    }
+
+    #[inline]
+    fn mask(&self) -> u64 {
+        u64::MAX >> (64 - self.bits)
     }
 }
 
-impl std::hash::Hash for PackedFrontier {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
+/// A hasher for [`FrontierKey`] words: FNV-style word mixing with a
+/// SplitMix64 finalizer, so keys whose low bits are all padding still
+/// spread over the table. Much cheaper than SipHash for the enumerators'
+/// once-per-edge probes.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(FNV_PRIME);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 }
+
+/// `BuildHasher` for hash sets keyed on [`FrontierKey`]s.
+pub(crate) type BuildKeyHasher = BuildHasherDefault<KeyHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -162,7 +327,7 @@ mod tests {
             for b in 0..=5u32 {
                 for c in 0..=1u32 {
                     assert!(
-                        seen.insert(packer.pack(&[a, b, c])),
+                        seen.insert(packer.pack::<[u64; 1]>(&[a, b, c])),
                         "collision at {a},{b},{c}"
                     );
                 }
@@ -173,24 +338,32 @@ mod tests {
 
     #[test]
     fn entries_straddling_word_boundaries_round_trip_distinctly() {
-        // 23 processes × 7 events → 3 bits/entry, 69 bits > one word.
+        // 23 processes × 7 events → 3 bits/entry, 21 entries per word:
+        // the frontier spills into a second word.
         let comp = comp_with(&[7; 23]);
         let packer = FrontierPacker::new(&comp);
+        assert_eq!(packer.words(), 2);
         let mut frontiers: Vec<Vec<u32>> = vec![vec![0; 23], vec![7; 23]];
         for i in 0..23 {
             let mut f = vec![0u32; 23];
             f[i] = 5;
             frontiers.push(f);
         }
-        let packed: HashSet<PackedFrontier> = frontiers.iter().map(|f| packer.pack(f)).collect();
+        let packed: HashSet<[u64; 2]> = frontiers.iter().map(|f| packer.pack(f)).collect();
         assert_eq!(packed.len(), frontiers.len());
+        for f in &frontiers {
+            let key: [u64; 2] = packer.pack(f);
+            assert_eq!(packer.unpack(&key).frontier(), &f[..]);
+        }
     }
 
     #[test]
     fn zero_process_computation_packs_the_empty_frontier() {
         let comp = comp_with(&[]);
         let packer = FrontierPacker::new(&comp);
-        assert_eq!(packer.pack(&[]), packer.pack(&[]));
+        let key: [u64; 1] = packer.pack(&[]);
+        assert_eq!(key, packer.pack::<[u64; 1]>(&[]));
+        assert!(packer.unpack(&key).frontier().is_empty());
     }
 
     #[test]
@@ -205,7 +378,10 @@ mod tests {
         // valid, bits = 1 by construction, and the packing still works.
         let comp = comp_with(&[0, 0, 0]);
         let packer = FrontierPacker::new(&comp);
-        assert_eq!(packer.pack(&[0, 0, 0]), packer.pack(&[0, 0, 0]));
+        assert_eq!(
+            packer.pack::<[u64; 1]>(&[0, 0, 0]),
+            packer.pack::<[u64; 1]>(&[0, 0, 0])
+        );
     }
 
     #[test]
@@ -215,19 +391,22 @@ mod tests {
         // truncate to 0 and collide with a distinct frontier. The packer
         // must refuse it even in release builds.
         let comp = comp_with(&[1, 1]);
-        FrontierPacker::new(&comp).pack(&[2, 0]);
+        FrontierPacker::new(&comp).pack::<[u64; 1]>(&[2, 0]);
     }
 
     #[test]
     fn equal_frontiers_share_hash_and_differ_otherwise() {
+        use std::hash::BuildHasher;
         let comp = comp_with(&[4, 4]);
         let packer = FrontierPacker::new(&comp);
-        let a = packer.pack(&[1, 2]);
-        let b = packer.pack(&[1, 2]);
-        let c = packer.pack(&[2, 1]);
+        let a: [u64; 1] = packer.pack(&[1, 2]);
+        let b: [u64; 1] = packer.pack(&[1, 2]);
+        let c: [u64; 1] = packer.pack(&[2, 1]);
         assert_eq!(a, b);
-        assert_eq!(a.hash_value(), b.hash_value());
+        let hasher = BuildKeyHasher::default();
+        assert_eq!(hasher.hash_one(a), hasher.hash_one(b));
         assert_ne!(a, c);
+        assert_ne!(hasher.hash_one(a), hasher.hash_one(c));
     }
 
     mod properties {
@@ -243,10 +422,9 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            /// Packing is injective: packed equality ⇔ frontier equality,
-            /// and equal frontiers agree on the cached hash. Shapes mix
-            /// zero-event processes with widths where `len * bits`
-            /// regularly exceeds one 64-bit word.
+            /// Packing is injective: packed equality ⇔ frontier equality.
+            /// Shapes mix zero-event processes with widths where the
+            /// frontier regularly spans several 64-bit words.
             #[test]
             fn packed_equality_is_frontier_equality(
                 seed in any::<u64>(),
@@ -259,12 +437,9 @@ mod tests {
                 let b = if equal { a.clone() } else { random_frontier(&mut rng, &lens) };
                 let comp = comp_with(&lens);
                 let packer = FrontierPacker::new(&comp);
-                let pa = packer.pack(&a);
-                let pb = packer.pack(&b);
+                let pa: Box<[u64]> = packer.pack(&a);
+                let pb: Box<[u64]> = packer.pack(&b);
                 prop_assert_eq!(pa == pb, a == b);
-                if a == b {
-                    prop_assert_eq!(pa.hash_value(), pb.hash_value());
-                }
             }
         }
     }

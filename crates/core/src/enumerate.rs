@@ -5,13 +5,23 @@
 //! general, which is precisely the state explosion the paper's algorithms
 //! avoid. The test suite uses it as the ground-truth oracle, and the E5
 //! experiment measures the exponential gap against it.
+//!
+//! The level sweeps hold a lattice level as a sorted `Vec` of inline
+//! packed keys ([`FrontierKey`]), whose integer order is `Cut` order:
+//! a successor's key is one add on its predecessor's, deduplication is a
+//! sort, and a `Cut` is materialized only for a witness or a checkpoint.
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use gpd_computation::{Computation, Cut, FrontierPacker, PackedFrontier};
+use gpd_computation::{with_frontier_key, Computation, Cut, FrontierKey, FrontierPacker};
 
-use crate::striped::StripedCutSet;
+use crate::budget::{
+    catch_detect, problem_fingerprint, Budget, BudgetMeter, Checkpoint, DetectError, ExhaustReason,
+    Partial, Progress, Verdict,
+};
+use crate::par::{fanout_chunks, into_inner_unpoisoned, lock_unpoisoned, WorkSource};
 
 /// Decides `Possibly(Φ)` by enumerating consistent cuts breadth-first;
 /// returns the first (smallest) witness cut.
@@ -37,9 +47,8 @@ where
 
 /// [`possibly_by_enumeration`], parallel and **deterministic**: walks
 /// the lattice one event-count level at a time on the work-stealing
-/// sweeps of [`probe_level_budgeted`] / [`expand_level_budgeted`] (with
-/// an unlimited budget), keeping every level canonically sorted and
-/// probing it for its lowest-index witness.
+/// level sweep (with an unlimited budget), keeping every level
+/// canonically sorted and probing it for its lowest-index witness.
 ///
 /// The returned witness is therefore **byte-identical at every thread
 /// count**: the lowest cut (frontier-lexicographic) on the lowest
@@ -56,35 +65,19 @@ pub fn possibly_by_enumeration_par<F>(
 where
     F: Fn(&Cut) -> bool + Sync,
 {
-    let budget = Budget::unlimited();
-    let meter = BudgetMeter::new();
-    let packer = FrontierPacker::new(comp);
-    let total = comp.final_cut().event_count();
-    let mut k = 0usize;
-    let mut level: Vec<Cut> = vec![comp.initial_cut()];
-    loop {
-        match probe_level_budgeted(&predicate, threads, &level, &budget, &meter) {
-            Ok(hit @ Some(_)) => return hit,
-            Ok(None) => {}
-            Err(_) => unreachable!("unlimited budgets never exhaust"),
-        }
-        if k >= total {
-            return None;
-        }
-        match expand_level_budgeted(comp, &packer, threads, &level, &|_| true, &budget, &meter) {
-            Ok(next) => {
-                debug_assert!(!next.is_empty(), "non-final levels always have successors");
-                k += 1;
-                level = next;
-            }
-            Err(_) => unreachable!("unlimited budgets never exhaust"),
-        }
-    }
+    let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
+    let sweep = LevelSweep::new(comp, POSSIBLY_ENUMERATE, threads, &budget, &meter);
+    decided(sweep.possibly(&predicate, None, (0, vec![comp.initial_cut()])))
 }
 
 /// Decides `Definitely(Φ)` exactly: Φ definitely holds iff **no** run
 /// avoids Φ-cuts from start to finish, i.e. iff the final cut is
 /// unreachable from the initial cut through `¬Φ` cuts only.
+///
+/// A breadth-first search over the whole reachable `¬Φ` region,
+/// deduplicated on plain [`Cut`]s: it shares no key or sweep code with
+/// the level sweeps, which keeps it an independent oracle for them.
+/// Detection paths use [`definitely_levelwise`] instead.
 ///
 /// # Example
 ///
@@ -113,12 +106,10 @@ where
         return true;
     }
     let goal = comp.final_cut();
-    let packer = FrontierPacker::new(comp);
-    let mut seen: HashSet<PackedFrontier> = HashSet::new();
-    seen.insert(packer.pack_cut(&start));
+    let mut seen: HashSet<Cut> = HashSet::from([start.clone()]);
     let mut queue = VecDeque::from([start]);
     // One successor buffer for the whole walk: expansion allocates only
-    // for cuts that actually enter the queue.
+    // for the successor cuts themselves.
     let mut succs: Vec<Cut> = Vec::new();
     while let Some(cut) = queue.pop_front() {
         if cut == goal {
@@ -126,7 +117,7 @@ where
         }
         comp.cut_successors_into(&cut, &mut succs);
         for next in succs.drain(..) {
-            if !predicate(&next) && seen.insert(packer.pack_cut(&next)) {
+            if !predicate(&next) && seen.insert(next.clone()) {
                 queue.push_back(next);
             }
         }
@@ -140,7 +131,8 @@ where
 /// and advance `k`. Same exponential worst case as
 /// [`definitely_by_enumeration`], but memory drops from the whole
 /// reachable region to one level (its widest antichain), which is what
-/// makes larger instances feasible in practice.
+/// makes larger instances feasible in practice. This is
+/// [`definitely_levelwise_budgeted`] on one thread with no budget.
 ///
 /// # Example
 ///
@@ -154,48 +146,18 @@ where
 /// let comp = b.build().unwrap();
 /// assert!(definitely_levelwise(&comp, |cut| cut.event_count() == 1));
 /// ```
-pub fn definitely_levelwise<F>(comp: &Computation, mut predicate: F) -> bool
+pub fn definitely_levelwise<F>(comp: &Computation, predicate: F) -> bool
 where
-    F: FnMut(&Cut) -> bool,
+    F: Fn(&Cut) -> bool + Sync,
 {
-    let start = comp.initial_cut();
-    if predicate(&start) {
-        return true;
-    }
-    let total: usize = comp.final_cut().event_count();
-    let packer = FrontierPacker::new(comp);
-    // Invariant: `level` holds the ¬Φ cuts with k events reachable from
-    // the initial cut through ¬Φ cuts only.
-    let mut level: Vec<Cut> = vec![start];
-    let mut succs: Vec<Cut> = Vec::new();
-    for _k in 0..total {
-        let mut dedup: HashSet<PackedFrontier> = HashSet::new();
-        let mut next: Vec<Cut> = Vec::new();
-        for cut in &level {
-            comp.cut_successors_into(cut, &mut succs);
-            for succ in succs.drain(..) {
-                if !predicate(&succ) && dedup.insert(packer.pack_cut(&succ)) {
-                    next.push(succ);
-                }
-            }
-        }
-        if next.is_empty() {
-            return true; // every surviving run hit Φ
-        }
-        level = next;
-    }
-    // Some run reached the final level (k = total) avoiding Φ throughout.
-    false
+    let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
+    let sweep = LevelSweep::new(comp, DEFINITELY_LEVELWISE, 1, &budget, &meter);
+    decided(sweep.definitely(&predicate, None, None))
 }
 
 // ---------------------------------------------------------------------------
 // Budgeted variants: deadline/node/width governed, resumable, panic-isolated
 // ---------------------------------------------------------------------------
-
-use crate::budget::{
-    catch_detect, problem_fingerprint, Budget, BudgetMeter, Checkpoint, DetectError, ExhaustReason,
-    Partial, Progress, Verdict,
-};
 
 /// Engine name embedded in [`possibly_by_enumeration_budgeted`]'s
 /// checkpoints.
@@ -204,187 +166,399 @@ pub const POSSIBLY_ENUMERATE: &str = "possibly-enumerate";
 /// checkpoints.
 pub const DEFINITELY_LEVELWISE: &str = "definitely-levelwise";
 
-/// Work-item granularity of the budgeted level sweeps: one work-stealing
-/// chunk — budget gates, witness aggregation and visited-set flushes all
-/// happen on chunk boundaries.
+/// Work-item granularity of the level sweeps: one work-stealing chunk —
+/// budget gates and witness aggregation happen on chunk boundaries.
 const LEVEL_BLOCK: usize = 256;
+
+/// The value of a verdict reached under an unlimited budget.
+fn decided<T>(verdict: Verdict<T>) -> T {
+    match verdict {
+        Verdict::Decided(value, _) => value,
+        Verdict::Unknown(_) => unreachable!("unlimited budgets always decide"),
+    }
+}
 
 /// Records `reason` as the sweep's halt cause (first writer wins) and
 /// cancels the fan-out so the other workers drain out.
-fn halt_fanout(
-    halt: &Mutex<Option<ExhaustReason>>,
-    reason: ExhaustReason,
-    src: &crate::par::WorkSource,
-) {
-    let mut guard = crate::par::lock_unpoisoned(halt);
-    guard.get_or_insert(reason);
+fn halt_fanout(halt: &Mutex<Option<ExhaustReason>>, reason: ExhaustReason, src: &WorkSource) {
+    lock_unpoisoned(halt).get_or_insert(reason);
     src.cancel();
 }
 
-/// Probes a (canonically sorted) level for its **lowest-index** witness.
-///
-/// Workers drain [`LEVEL_BLOCK`]-sized chunks from rooted work-stealing
-/// spans (no level-wide barrier; see [`crate::par`]) and race the lowest
-/// hit index into an atomic `fetch_min`. A chunk is *pruned* — skipped
-/// without probing or budget-gating — when it starts past the current
-/// best hit: it cannot lower the minimum, and gating it could discard an
-/// already-found witness on a budget trip. The winning index is the
-/// global minimum at every thread count, which is what makes budgeted
-/// witnesses byte-identical across 1/2/4 threads.
-pub(crate) fn probe_level_budgeted<F>(
-    predicate: &F,
+/// The fixed context of one budgeted level sweep: every possibly and
+/// definitely lattice engine — plain, parallel, budgeted and sliced —
+/// runs [`LevelSweep::possibly`] or [`LevelSweep::definitely`].
+pub(crate) struct LevelSweep<'a> {
+    comp: &'a Computation,
+    /// Engine name for checkpoints.
+    detector: &'static str,
     threads: usize,
-    level: &[Cut],
-    budget: &Budget,
-    meter: &BudgetMeter,
-) -> Result<Option<Cut>, ExhaustReason>
-where
-    F: Fn(&Cut) -> bool + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let best = AtomicUsize::new(usize::MAX);
-    let halt: Mutex<Option<ExhaustReason>> = Mutex::new(None);
-    crate::par::fanout_chunks(threads, level.len(), LEVEL_BLOCK, &|w, src| {
-        while let Some(r) = src.next(w) {
-            // Prune before gating: once a hit at a lower index exists,
-            // later chunks are no-ops and must not trip the budget.
-            if r.start > best.load(Ordering::Acquire) {
-                continue;
-            }
-            if budget.deadline_exceeded() {
-                halt_fanout(&halt, ExhaustReason::Deadline, src);
-                return;
-            }
-            if budget.nodes_exceeded(meter.nodes()) {
-                halt_fanout(&halt, ExhaustReason::Nodes, src);
-                return;
-            }
-            let mut probed = 0u64;
-            for i in r {
-                probed += 1;
-                if predicate(&level[i]) {
-                    best.fetch_min(i, Ordering::AcqRel);
-                    break;
-                }
-            }
-            meter.charge(probed);
-        }
-    });
-    // A found witness outranks a concurrent budget trip: sequentially
-    // the hit is reached before any later gate, so the parallel runs
-    // must agree.
-    match best.load(Ordering::Acquire) {
-        usize::MAX => match crate::par::into_inner_unpoisoned(halt) {
-            Some(reason) => Err(reason),
-            None => Ok(None),
-        },
-        i => Ok(Some(level[i].clone())),
-    }
+    budget: &'a Budget,
+    meter: &'a BudgetMeter,
 }
 
-/// Number of stripes in the expanders' shared visited set. Fixed (not
-/// scaled by `threads`) so the dedup structure is identical at every
-/// thread count.
-const EXPAND_STRIPES: usize = 64;
+impl<'a> LevelSweep<'a> {
+    pub(crate) fn new(
+        comp: &'a Computation,
+        detector: &'static str,
+        threads: usize,
+        budget: &'a Budget,
+        meter: &'a BudgetMeter,
+    ) -> Self {
+        LevelSweep {
+            comp,
+            detector,
+            threads,
+            budget,
+            meter,
+        }
+    }
 
-/// One budget-governed expansion of `level` into the next lattice level,
-/// keeping successors that pass `keep`, deduplicated through the striped
-/// CAS-locked visited set ([`StripedCutSet`]) and **canonically sorted**
-/// (frontier-lexicographic).
-///
-/// Workers drain [`LEVEL_BLOCK`]-sized chunks from rooted work-stealing
-/// spans; each chunk's successors are bucketed worker-locally by stripe
-/// and flushed with one lock acquisition per non-empty stripe, so every
-/// successor is expanded exactly once regardless of thread count —
-/// `meter` observes the same total at 1 and at N threads. Budget gates
-/// sit on chunk boundaries; an `Err` means the partially built next
-/// level was discarded whole, so the caller's current level stays the
-/// valid checkpoint boundary.
-pub(crate) fn expand_level_budgeted<K>(
-    comp: &Computation,
-    packer: &FrontierPacker,
-    threads: usize,
-    level: &[Cut],
-    keep: &K,
-    budget: &Budget,
-    meter: &BudgetMeter,
-) -> Result<Vec<Cut>, ExhaustReason>
-where
-    K: Fn(&Cut) -> bool + Sync,
-{
-    let set = StripedCutSet::new(EXPAND_STRIPES);
-    let halt: Mutex<Option<ExhaustReason>> = Mutex::new(None);
-    crate::par::fanout_chunks(threads, level.len(), LEVEL_BLOCK, &|w, src| {
-        let mut succs: Vec<Cut> = Vec::new();
-        let mut groups: Vec<Vec<(PackedFrontier, Cut)>> =
-            (0..set.stripe_count()).map(|_| Vec::new()).collect();
-        while let Some(r) = src.next(w) {
-            if budget.deadline_exceeded() {
-                halt_fanout(&halt, ExhaustReason::Deadline, src);
-                return;
+    /// `Possibly(Φ)` from level `start` on: probe each level for its
+    /// lowest witness, then expand it. With a `window` (a slice's
+    /// greatest cut `M`) expansion keeps only cuts `≤ M` and the sweep
+    /// ends at level `|M|`.
+    pub(crate) fn possibly<F>(
+        &self,
+        predicate: &F,
+        window: Option<&[u32]>,
+        start: (u32, Vec<Cut>),
+    ) -> Verdict<Option<Cut>>
+    where
+        F: Fn(&Cut) -> bool + Sync,
+    {
+        let packer = FrontierPacker::new(self.comp);
+        with_frontier_key!(packer.words(), K => {
+            self.possibly_keys::<K, F>(&packer, predicate, window, start)
+        })
+    }
+
+    fn possibly_keys<K, F>(
+        &self,
+        packer: &FrontierPacker,
+        predicate: &F,
+        window: Option<&[u32]>,
+        (mut k, level): (u32, Vec<Cut>),
+    ) -> Verdict<Option<Cut>>
+    where
+        K: FrontierKey,
+        F: Fn(&Cut) -> bool + Sync,
+    {
+        let cap = match window {
+            Some(hi) => hi.iter().map(|&f| f as u64).sum::<u64>() as u32,
+            None => self.comp.final_cut().event_count() as u32,
+        };
+        let keep =
+            window.map(|hi| move |c: &Cut| c.frontier().iter().zip(hi).all(|(&f, &h)| f <= h));
+        let mut level: Vec<K> = level.iter().map(|c| packer.pack_cut(c)).collect();
+        loop {
+            match self.probe(packer, predicate, &level) {
+                Ok(Some(witness)) => {
+                    return Verdict::Decided(Some(witness), Progress::with_nodes(self.meter))
+                }
+                Ok(None) => {}
+                Err(reason) => return self.unknown(packer, reason, k, k, &level),
             }
-            if budget.nodes_exceeded(meter.nodes()) {
-                halt_fanout(&halt, ExhaustReason::Nodes, src);
-                return;
+            // Past the final (or window) level no cut remains.
+            if k >= cap {
+                return Verdict::Decided(None, Progress::with_nodes(self.meter));
             }
-            // The width cap bounds the materialized sets: the level
-            // being expanded and the one being built.
-            if budget.width_exceeded(set.kept().max(level.len())) {
-                halt_fanout(&halt, ExhaustReason::Width, src);
-                return;
+            match self.expand(packer, &level, keep.as_ref()) {
+                Ok(next) if next.is_empty() => {
+                    return Verdict::Decided(None, Progress::with_nodes(self.meter));
+                }
+                Ok(next) => {
+                    k += 1;
+                    level = next;
+                }
+                // Level k is fully probed (hence swept = k + 1) but the
+                // next level was discarded: resume re-probes level k —
+                // harmlessly, it is witness-free — then re-expands.
+                Err(reason) => return self.unknown(packer, reason, k, k + 1, &level),
             }
-            let mut explored = 0u64;
-            for cut in &level[r] {
-                comp.cut_successors_into(cut, &mut succs);
-                for succ in succs.drain(..) {
-                    explored += 1;
-                    if !keep(&succ) {
-                        continue;
+        }
+    }
+
+    /// `Definitely(Φ)` as `¬Φ` path avoidance, from the initial cut or a
+    /// `resumed` level. With a `window = (|m|, |M|)` (a slice's least
+    /// and greatest cut sizes), levels below `|m|` keep successors
+    /// without evaluating `Φ` and a sweep alive past `|M|` decides
+    /// `false`.
+    pub(crate) fn definitely<F>(
+        &self,
+        predicate: &F,
+        window: Option<(u32, u32)>,
+        resumed: Option<(u32, Vec<Cut>)>,
+    ) -> Verdict<bool>
+    where
+        F: Fn(&Cut) -> bool + Sync,
+    {
+        let start = match resumed {
+            Some(state) => state,
+            None => {
+                let start = self.comp.initial_cut();
+                self.meter.charge(1);
+                if predicate(&start) {
+                    return Verdict::Decided(true, Progress::with_nodes(self.meter));
+                }
+                (0, vec![start])
+            }
+        };
+        let packer = FrontierPacker::new(self.comp);
+        with_frontier_key!(packer.words(), K => {
+            self.definitely_keys::<K, F>(&packer, predicate, window, start)
+        })
+    }
+
+    fn definitely_keys<K, F>(
+        &self,
+        packer: &FrontierPacker,
+        predicate: &F,
+        window: Option<(u32, u32)>,
+        (mut k, level): (u32, Vec<Cut>),
+    ) -> Verdict<bool>
+    where
+        K: FrontierKey,
+        F: Fn(&Cut) -> bool + Sync,
+    {
+        let total = self.comp.final_cut().event_count() as u32;
+        let (skip_below, cap) = window.unwrap_or((0, total));
+        let avoids = |c: &Cut| !predicate(c);
+        let mut level: Vec<K> = level.iter().map(|c| packer.pack_cut(c)).collect();
+        // Invariant: `level` holds the ¬Φ cuts with k events reachable
+        // from the initial cut through ¬Φ cuts only (equal to *all*
+        // reachable cuts while k < |m|, where Φ cannot hold).
+        while k < total {
+            let keep = (k + 1 >= skip_below).then_some(&avoids);
+            match self.expand(packer, &level, keep) {
+                // Every surviving run hit Φ.
+                Ok(next) if next.is_empty() => {
+                    return Verdict::Decided(true, Progress::with_nodes(self.meter));
+                }
+                Ok(next) => {
+                    k += 1;
+                    level = next;
+                    if k > cap {
+                        // A ¬Φ path escaped past |M|: everything above is
+                        // ¬Φ too, so some run avoids Φ entirely.
+                        return Verdict::Decided(false, Progress::with_nodes(self.meter));
                     }
-                    let packed = packer.pack_cut(&succ);
-                    groups[set.stripe_of(packed.hash_value())].push((packed, succ));
+                }
+                Err(reason) => return self.unknown(packer, reason, k, k, &level),
+            }
+        }
+        // Some run reached the final level avoiding Φ throughout.
+        Verdict::Decided(false, Progress::with_nodes(self.meter))
+    }
+
+    /// The deadline and node gates, then the width gate on `width` — the
+    /// check every work chunk passes before it runs.
+    fn gate(&self, width: usize) -> Option<ExhaustReason> {
+        if self.budget.deadline_exceeded() {
+            Some(ExhaustReason::Deadline)
+        } else if self.budget.nodes_exceeded(self.meter.nodes()) {
+            Some(ExhaustReason::Nodes)
+        } else if self.budget.width_exceeded(width) {
+            Some(ExhaustReason::Width)
+        } else {
+            None
+        }
+    }
+
+    /// Probes a sorted level for its **lowest-index** witness.
+    ///
+    /// Workers drain [`LEVEL_BLOCK`]-sized chunks from rooted
+    /// work-stealing spans (no level-wide barrier; see [`crate::par`])
+    /// and race the lowest hit index into an atomic `fetch_min`. A chunk
+    /// is *pruned* — skipped without probing or budget-gating — when it
+    /// starts past the current best hit: it cannot lower the minimum, and
+    /// gating it could discard an already-found witness on a budget trip.
+    /// The winning index is the global minimum at every thread count,
+    /// which is what makes witnesses byte-identical across thread counts.
+    fn probe<K, F>(
+        &self,
+        packer: &FrontierPacker,
+        predicate: &F,
+        level: &[K],
+    ) -> Result<Option<Cut>, ExhaustReason>
+    where
+        K: FrontierKey,
+        F: Fn(&Cut) -> bool + Sync,
+    {
+        let best = AtomicUsize::new(usize::MAX);
+        let halt: Mutex<Option<ExhaustReason>> = Mutex::new(None);
+        fanout_chunks(self.threads, level.len(), LEVEL_BLOCK, &|w, src| {
+            let mut cut = Cut::from_frontier(Vec::new());
+            while let Some(r) = src.next(w) {
+                // Prune before gating: once a hit at a lower index exists,
+                // later chunks are no-ops and must not trip the budget.
+                if r.start > best.load(Ordering::Acquire) {
+                    continue;
+                }
+                if let Some(reason) = self.gate(0) {
+                    halt_fanout(&halt, reason, src);
+                    return;
+                }
+                let mut probed = 0u64;
+                for i in r {
+                    probed += 1;
+                    packer.unpack_into(&level[i], &mut cut);
+                    if predicate(&cut) {
+                        best.fetch_min(i, Ordering::AcqRel);
+                        break;
+                    }
+                }
+                self.meter.charge(probed);
+            }
+        });
+        // A found witness outranks a concurrent budget trip: sequentially
+        // the hit is reached before any later gate, so the parallel runs
+        // must agree.
+        match best.load(Ordering::Acquire) {
+            usize::MAX => match into_inner_unpoisoned(halt) {
+                Some(reason) => Err(reason),
+                None => Ok(None),
+            },
+            i => Ok(Some(packer.unpack(&level[i]))),
+        }
+    }
+
+    /// Expands a sorted level into the next one: the distinct successors
+    /// that pass `keep` (all of them without one), sorted.
+    ///
+    /// Workers drain [`LEVEL_BLOCK`]-sized chunks, pushing each
+    /// successor's key (`key + unit[p]`) into a worker-local buffer that
+    /// is sorted and deduplicated once the fan-out drains; the sorted
+    /// runs are merged. Every level cut is expanded exactly once and
+    /// charged per lattice edge, so `meter` observes the same total at 1
+    /// and at N threads. `keep` then runs once per *distinct* successor.
+    ///
+    /// Budget gates sit on chunk boundaries. The width cap is judged on
+    /// the level being expanded there (bounding the candidate buffers by
+    /// out-degree × a level that passed the cap) and on the finished,
+    /// filtered next level. An `Err` discards the partial next level
+    /// whole, so the caller's current level stays the valid checkpoint
+    /// boundary.
+    fn expand<K, P>(
+        &self,
+        packer: &FrontierPacker,
+        level: &[K],
+        keep: Option<&P>,
+    ) -> Result<Vec<K>, ExhaustReason>
+    where
+        K: FrontierKey,
+        P: Fn(&Cut) -> bool + Sync,
+    {
+        let runs: Mutex<Vec<Vec<K>>> = Mutex::new(Vec::new());
+        let halt: Mutex<Option<ExhaustReason>> = Mutex::new(None);
+        fanout_chunks(self.threads, level.len(), LEVEL_BLOCK, &|w, src| {
+            let mut cut = Cut::from_frontier(Vec::new());
+            let mut succs: Vec<K> = Vec::new();
+            while let Some(r) = src.next(w) {
+                if let Some(reason) = self.gate(level.len()) {
+                    halt_fanout(&halt, reason, src);
+                    return;
+                }
+                let mut explored = 0u64;
+                for key in &level[r] {
+                    packer.unpack_into(key, &mut cut);
+                    self.comp.for_each_enabled(&cut, |p| {
+                        explored += 1;
+                        succs.push(packer.successor(key, p));
+                    });
+                }
+                self.meter.charge(explored);
+            }
+            succs.sort_unstable();
+            succs.dedup();
+            lock_unpoisoned(&runs).push(succs);
+        });
+        if let Some(reason) = into_inner_unpoisoned(halt) {
+            return Err(reason);
+        }
+        let mut runs = into_inner_unpoisoned(runs);
+        let mut next = runs.pop().unwrap_or_default();
+        if !runs.is_empty() {
+            for run in runs {
+                next.extend(run);
+            }
+            // The stable sort merges the presorted runs in linear passes.
+            next.sort();
+            next.dedup();
+        }
+        if let Some(keep) = keep {
+            next = self.filter(packer, next, keep)?;
+        }
+        if self.budget.width_exceeded(next.len()) {
+            return Err(ExhaustReason::Width);
+        }
+        Ok(next)
+    }
+
+    /// The candidates that pass `keep`, in order, evaluated in parallel
+    /// chunks on a scratch cut per worker. Only the deadline gates here:
+    /// the node meter was settled by the expansion.
+    fn filter<K, P>(
+        &self,
+        packer: &FrontierPacker,
+        candidates: Vec<K>,
+        keep: &P,
+    ) -> Result<Vec<K>, ExhaustReason>
+    where
+        K: FrontierKey,
+        P: Fn(&Cut) -> bool + Sync,
+    {
+        let kept: Vec<AtomicBool> = candidates.iter().map(|_| AtomicBool::new(false)).collect();
+        let halt: Mutex<Option<ExhaustReason>> = Mutex::new(None);
+        fanout_chunks(self.threads, candidates.len(), LEVEL_BLOCK, &|w, src| {
+            let mut cut = Cut::from_frontier(Vec::new());
+            while let Some(r) = src.next(w) {
+                if self.budget.deadline_exceeded() {
+                    halt_fanout(&halt, ExhaustReason::Deadline, src);
+                    return;
+                }
+                for i in r {
+                    packer.unpack_into(&candidates[i], &mut cut);
+                    kept[i].store(keep(&cut), Ordering::Relaxed);
                 }
             }
-            for (s, group) in groups.iter_mut().enumerate() {
-                set.insert_group(s, group);
-            }
-            meter.charge(explored);
+        });
+        if let Some(reason) = into_inner_unpoisoned(halt) {
+            return Err(reason);
         }
-    });
-    if let Some(reason) = crate::par::into_inner_unpoisoned(halt) {
-        return Err(reason);
+        Ok(candidates
+            .into_iter()
+            .zip(kept)
+            .filter_map(|(key, kept)| kept.into_inner().then_some(key))
+            .collect())
     }
-    if budget.width_exceeded(set.kept()) {
-        return Err(ExhaustReason::Width);
-    }
-    let mut next = set.into_cuts();
-    next.sort_unstable();
-    Ok(next)
-}
 
-/// Builds the `Unknown` verdict for a level sweep stopped at `level`
-/// (index `level_index`, not yet fully processed). `swept` is the sound
-/// bound: levels `0..swept` were fully probed witness-free.
-pub(crate) fn unknown_at_level<T>(
-    detector: &str,
-    problem: u64,
-    reason: ExhaustReason,
-    meter: &BudgetMeter,
-    level_index: u32,
-    swept: u32,
-    level: &[Cut],
-) -> Verdict<T> {
-    let frontiers = level.iter().map(|c| c.frontier().to_vec()).collect();
-    Verdict::Unknown(Partial {
-        reason,
-        progress: Progress {
-            nodes_explored: meter.nodes(),
-            levels_swept: Some(swept),
-            ..Progress::default()
-        },
-        checkpoint: Checkpoint::level(detector, problem, level_index, frontiers),
-    })
+    /// The `Unknown` verdict for a sweep stopped at `level` (index
+    /// `level_index`, not yet fully processed). `swept` is the sound
+    /// bound: levels `0..swept` were fully probed witness-free.
+    fn unknown<K: FrontierKey, T>(
+        &self,
+        packer: &FrontierPacker,
+        reason: ExhaustReason,
+        level_index: u32,
+        swept: u32,
+        level: &[K],
+    ) -> Verdict<T> {
+        let frontiers = level
+            .iter()
+            .map(|key| packer.unpack(key).frontier().to_vec())
+            .collect();
+        let problem = problem_fingerprint(self.comp);
+        Verdict::Unknown(Partial {
+            reason,
+            progress: Progress {
+                nodes_explored: self.meter.nodes(),
+                levels_swept: Some(swept),
+                ..Progress::default()
+            },
+            checkpoint: Checkpoint::level(self.detector, problem, level_index, frontiers),
+        })
+    }
 }
 
 /// [`possibly_by_enumeration`] under a [`Budget`]: level-synchronous,
@@ -420,60 +594,12 @@ pub fn possibly_by_enumeration_budgeted<F>(
 where
     F: Fn(&Cut) -> bool + Sync,
 {
-    let problem = problem_fingerprint(comp);
-    let (k0, level0) = match resume {
+    let start = match resume {
         None => (0u32, vec![comp.initial_cut()]),
-        Some(cp) => cp.restore_level(POSSIBLY_ENUMERATE, problem, comp)?,
+        Some(cp) => cp.restore_level(POSSIBLY_ENUMERATE, problem_fingerprint(comp), comp)?,
     };
-    catch_detect(move || {
-        let total = comp.final_cut().event_count() as u32;
-        let packer = FrontierPacker::new(comp);
-        let mut k = k0;
-        let mut level = level0;
-        loop {
-            match probe_level_budgeted(&predicate, threads, &level, budget, meter) {
-                Ok(Some(witness)) => {
-                    return Verdict::Decided(Some(witness), Progress::with_nodes(meter))
-                }
-                Ok(None) => {}
-                Err(reason) => {
-                    return unknown_at_level(
-                        POSSIBLY_ENUMERATE,
-                        problem,
-                        reason,
-                        meter,
-                        k,
-                        k,
-                        &level,
-                    )
-                }
-            }
-            if k >= total {
-                return Verdict::Decided(None, Progress::with_nodes(meter));
-            }
-            match expand_level_budgeted(comp, &packer, threads, &level, &|_| true, budget, meter) {
-                Ok(next) => {
-                    debug_assert!(!next.is_empty(), "non-final levels always have successors");
-                    k += 1;
-                    level = next;
-                }
-                // Level k is fully probed (hence swept = k + 1) but the
-                // next level was discarded: resume re-probes level k —
-                // harmlessly, it is witness-free — then re-expands.
-                Err(reason) => {
-                    return unknown_at_level(
-                        POSSIBLY_ENUMERATE,
-                        problem,
-                        reason,
-                        meter,
-                        k,
-                        k + 1,
-                        &level,
-                    )
-                }
-            }
-        }
-    })
+    let sweep = LevelSweep::new(comp, POSSIBLY_ENUMERATE, threads, budget, meter);
+    catch_detect(move || sweep.possibly(&predicate, None, start))
 }
 
 /// [`definitely_levelwise`] under a [`Budget`]: the same one-level-wide
@@ -498,61 +624,14 @@ pub fn definitely_levelwise_budgeted<F>(
 where
     F: Fn(&Cut) -> bool + Sync,
 {
-    let problem = problem_fingerprint(comp);
     let resumed = match resume {
         None => None,
-        Some(cp) => Some(cp.restore_level(DEFINITELY_LEVELWISE, problem, comp)?),
-    };
-    catch_detect(move || {
-        let total = comp.final_cut().event_count() as u32;
-        let packer = FrontierPacker::new(comp);
-        let (mut k, mut level) = match resumed {
-            Some(state) => state,
-            None => {
-                let start = comp.initial_cut();
-                meter.charge(1);
-                if predicate(&start) {
-                    return Verdict::Decided(true, Progress::with_nodes(meter));
-                }
-                (0u32, vec![start])
-            }
-        };
-        // Invariant: `level` holds the ¬Φ cuts with k events reachable
-        // from the initial cut through ¬Φ cuts only.
-        while k < total {
-            match expand_level_budgeted(
-                comp,
-                &packer,
-                threads,
-                &level,
-                &|c| !predicate(c),
-                budget,
-                meter,
-            ) {
-                Ok(next) if next.is_empty() => {
-                    // Every surviving run hit Φ.
-                    return Verdict::Decided(true, Progress::with_nodes(meter));
-                }
-                Ok(next) => {
-                    k += 1;
-                    level = next;
-                }
-                Err(reason) => {
-                    return unknown_at_level(
-                        DEFINITELY_LEVELWISE,
-                        problem,
-                        reason,
-                        meter,
-                        k,
-                        k,
-                        &level,
-                    )
-                }
-            }
+        Some(cp) => {
+            Some(cp.restore_level(DEFINITELY_LEVELWISE, problem_fingerprint(comp), comp)?)
         }
-        // Some run reached the final level avoiding Φ throughout.
-        Verdict::Decided(false, Progress::with_nodes(meter))
-    })
+    };
+    let sweep = LevelSweep::new(comp, DEFINITELY_LEVELWISE, threads, budget, meter);
+    catch_detect(move || sweep.definitely(&predicate, None, resumed))
 }
 
 #[cfg(test)]

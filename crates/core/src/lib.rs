@@ -17,7 +17,7 @@
 //! | Symmetric boolean predicates | [`symmetric::possibly_symmetric`] (polynomial) | §4.3 |
 //! | Linear predicates | [`linear::possibly_linear`] (forbidden-process walk, polynomial) | Fig. 1 taxonomy |
 //! | Stable predicates | [`stable::possibly_stable`] (one evaluation) | Fig. 1 taxonomy |
-//! | Anything | [`enumerate::possibly_by_enumeration`] / [`enumerate::definitely_by_enumeration`] (exact, exponential baseline) | baseline |
+//! | Anything | [`enumerate::possibly_by_enumeration`] / [`enumerate::definitely_levelwise`] (exact, exponential baseline) | baseline |
 //! | Regular predicates (conjunctions of local states and channel bounds) | [`slice::possibly_slice`] / [`slice::definitely_slice`] (computation slicing, polynomial); [`slice::Slice`] also drives the *SliceReduce* pre-pass that windows the NP-hard engines | §5 outlook / Mittal–Garg slicing |
 //!
 //! # Quickstart
@@ -62,7 +62,6 @@ mod scan;
 pub mod singular;
 pub mod slice;
 pub mod stable;
-mod striped;
 pub mod symmetric;
 
 pub use budget::{

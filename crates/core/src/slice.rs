@@ -50,9 +50,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use gpd_computation::{
-    BoolVariable, ChannelIndex, Computation, Cut, EventId, FrontierPacker, ProcessId,
-};
+use gpd_computation::{BoolVariable, ChannelIndex, Computation, Cut, EventId, ProcessId};
 
 use crate::budget::{
     catch_detect, problem_fingerprint, Budget, BudgetMeter, Checkpoint, DetectError, ExhaustReason,
@@ -60,7 +58,7 @@ use crate::budget::{
 };
 use crate::conjunctive::definitely_conjunctive;
 use crate::counters;
-use crate::enumerate::{expand_level_budgeted, probe_level_budgeted, unknown_at_level};
+use crate::enumerate::LevelSweep;
 use crate::predicate::SingularCnf;
 use crate::scan::{run_odometer, Candidate};
 use crate::singular::{
@@ -763,66 +761,16 @@ pub fn possibly_by_enumeration_sliced_budgeted<F>(
 where
     F: Fn(&Cut) -> bool + Sync,
 {
-    let problem = problem_fingerprint(comp);
-    let (k0, level0) = match resume {
+    let start = match resume {
         None => (0u32, vec![comp.initial_cut()]),
-        Some(cp) => cp.restore_level(POSSIBLY_ENUMERATE_SLICED, problem, comp)?,
+        Some(cp) => cp.restore_level(POSSIBLY_ENUMERATE_SLICED, problem_fingerprint(comp), comp)?,
     };
     let Some((_, hi)) = slice.window() else {
         // Unsatisfiable envelope: no Φ-cut exists anywhere.
         return Ok(Verdict::Decided(None, Progress::with_nodes(meter)));
     };
-    let hi = hi.to_vec();
-    catch_detect(move || {
-        let cap = hi.iter().map(|&f| f as u64).sum::<u64>() as u32;
-        let packer = FrontierPacker::new(comp);
-        let keep = |c: &Cut| c.frontier().iter().zip(&hi).all(|(&f, &h)| f <= h);
-        let mut k = k0;
-        let mut level = level0;
-        loop {
-            match probe_level_budgeted(&predicate, threads, &level, budget, meter) {
-                Ok(Some(witness)) => {
-                    return Verdict::Decided(Some(witness), Progress::with_nodes(meter))
-                }
-                Ok(None) => {}
-                Err(reason) => {
-                    return unknown_at_level(
-                        POSSIBLY_ENUMERATE_SLICED,
-                        problem,
-                        reason,
-                        meter,
-                        k,
-                        k,
-                        &level,
-                    )
-                }
-            }
-            // Beyond level |M| every cut violates the envelope: done.
-            if k >= cap {
-                return Verdict::Decided(None, Progress::with_nodes(meter));
-            }
-            match expand_level_budgeted(comp, &packer, threads, &level, &keep, budget, meter) {
-                Ok(next) if next.is_empty() => {
-                    return Verdict::Decided(None, Progress::with_nodes(meter));
-                }
-                Ok(next) => {
-                    k += 1;
-                    level = next;
-                }
-                Err(reason) => {
-                    return unknown_at_level(
-                        POSSIBLY_ENUMERATE_SLICED,
-                        problem,
-                        reason,
-                        meter,
-                        k,
-                        k + 1,
-                        &level,
-                    )
-                }
-            }
-        }
-    })
+    let sweep = LevelSweep::new(comp, POSSIBLY_ENUMERATE_SLICED, threads, budget, meter);
+    catch_detect(move || sweep.possibly(&predicate, Some(hi), start))
 }
 
 /// [`possibly_by_enumeration_sliced_budgeted`] with an unlimited budget:
@@ -878,66 +826,21 @@ pub fn definitely_levelwise_sliced_budgeted<F>(
 where
     F: Fn(&Cut) -> bool + Sync,
 {
-    let problem = problem_fingerprint(comp);
     let resumed = match resume {
         None => None,
-        Some(cp) => Some(cp.restore_level(DEFINITELY_LEVELWISE_SLICED, problem, comp)?),
+        Some(cp) => {
+            Some(cp.restore_level(DEFINITELY_LEVELWISE_SLICED, problem_fingerprint(comp), comp)?)
+        }
     };
     let Some((lo, hi)) = slice.window() else {
         // No cut satisfies the envelope, so none satisfies Φ; the
         // (possibly empty) run to the final cut avoids Φ throughout.
         return Ok(Verdict::Decided(false, Progress::with_nodes(meter)));
     };
-    let skip_below = lo.iter().map(|&f| f as u64).sum::<u64>() as u32;
-    let cap = hi.iter().map(|&f| f as u64).sum::<u64>() as u32;
-    catch_detect(move || {
-        let total = comp.final_cut().event_count() as u32;
-        let packer = FrontierPacker::new(comp);
-        let (mut k, mut level) = match resumed {
-            Some(state) => state,
-            None => {
-                let start = comp.initial_cut();
-                meter.charge(1);
-                if predicate(&start) {
-                    return Verdict::Decided(true, Progress::with_nodes(meter));
-                }
-                (0u32, vec![start])
-            }
-        };
-        // Invariant: `level` holds the ¬Φ cuts with k events reachable
-        // from the initial cut through ¬Φ cuts only (equal to *all*
-        // reachable cuts while k < |m|, where Φ cannot hold).
-        while k < total {
-            let skip_eval = k + 1 < skip_below;
-            let keep = |c: &Cut| skip_eval || !predicate(c);
-            match expand_level_budgeted(comp, &packer, threads, &level, &keep, budget, meter) {
-                Ok(next) if next.is_empty() => {
-                    return Verdict::Decided(true, Progress::with_nodes(meter));
-                }
-                Ok(next) => {
-                    k += 1;
-                    level = next;
-                    if k > cap {
-                        // A ¬Φ path escaped past |M|: everything above is
-                        // ¬Φ too, so some run avoids Φ entirely.
-                        return Verdict::Decided(false, Progress::with_nodes(meter));
-                    }
-                }
-                Err(reason) => {
-                    return unknown_at_level(
-                        DEFINITELY_LEVELWISE_SLICED,
-                        problem,
-                        reason,
-                        meter,
-                        k,
-                        k,
-                        &level,
-                    )
-                }
-            }
-        }
-        Verdict::Decided(false, Progress::with_nodes(meter))
-    })
+    let size = |f: &[u32]| f.iter().map(|&x| x as u64).sum::<u64>() as u32;
+    let window = (size(lo), size(hi));
+    let sweep = LevelSweep::new(comp, DEFINITELY_LEVELWISE_SLICED, threads, budget, meter);
+    catch_detect(move || sweep.definitely(&predicate, Some(window), resumed))
 }
 
 /// [`definitely_levelwise_sliced_budgeted`] with an unlimited budget:

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use gpd::conjunctive::possibly_conjunctive;
-use gpd::enumerate::definitely_by_enumeration;
+use gpd::enumerate::definitely_levelwise;
 use gpd::relational::possibly_exact_sum;
 use gpd::singular::possibly_singular;
 use gpd::{CnfClause, SingularCnf};
@@ -74,7 +74,7 @@ fn main() {
 
     // Definitely: must every run pass through a state with exactly one
     // token? (Exact check via the lattice.)
-    let definitely_one = definitely_by_enumeration(&comp, |cut| tokens.sum_at(cut) == 1);
+    let definitely_one = definitely_levelwise(&comp, |cut| tokens.sum_at(cut) == 1);
     println!("Definitely(Σ tokens = 1): {definitely_one}");
 
     // Export the space-time diagram.
