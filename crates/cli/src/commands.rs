@@ -7,16 +7,16 @@ use gpd::enumerate::{
     definitely_levelwise, definitely_levelwise_budgeted, possibly_by_enumeration,
 };
 use gpd::relational::{
-    definitely_exact_sum, definitely_exact_sum_budgeted, definitely_sum, definitely_sum_budgeted,
+    definitely_exact_sum, definitely_exact_sum_budgeted, definitely_sum_budgeted,
     possibly_exact_sum, possibly_exact_sum_budgeted, possibly_sum,
 };
-use gpd::singular::{possibly_singular_budgeted, possibly_singular_par};
+use gpd::singular::possibly_singular_budgeted;
 use gpd::slice::{
     cnf_envelope, definitely_levelwise_sliced_budgeted, definitely_slice,
     possibly_singular_sliced_budgeted, possibly_slice, RegularPredicate, Slice,
     DEFINITELY_LEVELWISE_SLICED,
 };
-use gpd::symmetric::{definitely_symmetric, possibly_symmetric, SymmetricPredicate};
+use gpd::symmetric::{possibly_symmetric, SymmetricPredicate};
 use gpd::{
     Budget, BudgetMeter, Checkpoint, CnfClause, DetectError, Progress, Relop, SingularCnf, Verdict,
 };
@@ -353,8 +353,10 @@ fn guard_enumeration(comp: &Computation, enumerate: bool, what: &str) -> Result<
 /// from, and where to drop the checkpoint if the budget runs out.
 struct BudgetOpts {
     budget: Budget,
-    /// Any budget flag or `--resume` present: route to the budgeted,
-    /// checkpoint-carrying engines.
+    /// Any budget flag or `--resume` present: the budget stands in for
+    /// the `--enumerate` guard, and `--stats` reports its consumption.
+    /// (Every exponential question runs its budgeted engine either way,
+    /// with `budget` unlimited when no flag is set.)
     active: bool,
     resume: Option<Checkpoint>,
     /// Checkpoint destination on an Unknown verdict.
@@ -537,8 +539,9 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
     let comp = &trace.computation;
     let definitely = flags.has("definitely");
     let enumerate = flags.has("enumerate");
-    // 0 = sequential (the default); N ≥ 2 fans the combinatorial CNF
-    // scans out over N workers with first-witness cancellation.
+    // 0 = sequential (the default); N ≥ 2 runs the budgeted engines
+    // (the §3.3 odometer walk and the lattice sweeps) on N workers. Each
+    // keeps its lowest-index witness, so output is the same at every N.
     let threads = flags.get_usize("threads", 0)?;
     let stats = flags.has("stats");
     let modality = if definitely { "Definitely" } else { "Possibly" };
@@ -627,109 +630,69 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
             // Slicing competes for the same budget as the engine it
             // feeds; if it exhausts the budget, fall back to the
             // unsliced engine, which will checkpoint as usual.
-            let slice = match &envelope {
-                None => None,
-                Some(env) if opts.active => {
-                    Slice::build_budgeted(comp, env, &opts.budget, &meter).ok()
-                }
-                Some(env) => Some(Slice::build(comp, env)),
-            };
+            let slice = envelope
+                .as_ref()
+                .and_then(|env| Slice::build_budgeted(comp, env, &opts.budget, &meter).ok());
             if definitely {
+                if !opts.active {
+                    guard_enumeration(comp, enumerate, "Definitely(cnf)")?;
+                }
                 // Checkpoints pin their engine name: resume through the
                 // sliced sweep only if it was taken there.
-                let sliced = match (&slice, opts.resume.as_ref()) {
-                    (Some(_), Some(cp)) => cp.detector() == DEFINITELY_LEVELWISE_SLICED,
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                if opts.active {
-                    // The budget *is* the guard: the sweep stops at the
-                    // deadline/cap instead of running away.
-                    let verdict = if let (true, Some(sl)) = (sliced, &slice) {
-                        definitely_levelwise_sliced_budgeted(
-                            comp,
-                            sl,
-                            |cut| phi.eval(&truth, cut),
-                            threads,
-                            &opts.budget,
-                            &meter,
-                            opts.resume.as_ref(),
-                        )
-                    } else {
-                        definitely_levelwise_budgeted(
-                            comp,
-                            |cut| phi.eval(&truth, cut),
-                            threads,
-                            &opts.budget,
-                            &meter,
-                            opts.resume.as_ref(),
-                        )
-                    }
-                    .map_err(detect_error)?;
-                    render_bool_verdict(modality, expr, verdict, &opts)
-                } else if let Some(sl) = &slice {
-                    guard_enumeration(comp, enumerate, "Definitely(cnf)")?;
-                    let verdict = gpd::slice::definitely_levelwise_sliced(
+                let slice = slice.filter(|_| {
+                    opts.resume
+                        .as_ref()
+                        .is_none_or(|cp| cp.detector() == DEFINITELY_LEVELWISE_SLICED)
+                });
+                let phi = |cut: &Cut| phi.eval(&truth, cut);
+                let verdict = match &slice {
+                    Some(sl) => definitely_levelwise_sliced_budgeted(
                         comp,
                         sl,
-                        |cut| phi.eval(&truth, cut),
-                        threads,
-                    );
-                    Ok(format!("{modality}({expr}): {verdict}\n"))
-                } else {
-                    guard_enumeration(comp, enumerate, "Definitely(cnf)")?;
-                    let verdict = definitely_levelwise(comp, |cut| phi.eval(&truth, cut));
-                    Ok(format!("{modality}({expr}): {verdict}\n"))
-                }
-            } else if opts.active {
-                // The sliced odometer engines keep the unsliced engine
-                // names (the window prune preserves the combination
-                // shape), so checkpoints stay interchangeable.
-                let verdict = if let Some(sl) = &slice {
-                    possibly_singular_sliced_budgeted(
-                        comp,
-                        &truth,
-                        &phi,
-                        sl,
+                        phi,
                         threads,
                         &opts.budget,
                         &meter,
                         opts.resume.as_ref(),
-                    )
-                } else {
-                    possibly_singular_budgeted(
+                    ),
+                    None => definitely_levelwise_budgeted(
                         comp,
-                        &truth,
-                        &phi,
+                        phi,
                         threads,
                         &opts.budget,
                         &meter,
                         opts.resume.as_ref(),
-                    )
+                    ),
                 }
                 .map_err(detect_error)?;
-                render_witness_verdict(comp, modality, expr, verdict, &opts)
-            } else if let Some(sl) = &slice {
-                let verdict = possibly_singular_sliced_budgeted(
-                    comp,
-                    &truth,
-                    &phi,
-                    sl,
-                    threads,
-                    &Budget::unlimited(),
-                    &meter,
-                    None,
-                )
-                .map_err(detect_error)?;
-                render_witness_verdict(comp, modality, expr, verdict, &opts)
+                render_bool_verdict(modality, expr, verdict, &opts)
             } else {
-                match possibly_singular_par(comp, &truth, &phi, threads) {
-                    Some(cut) => Ok(format!(
-                        "{modality}({expr}): true\n{}\n",
-                        describe_cut(comp, &cut)
-                    )),
-                    None => Ok(format!("{modality}({expr}): false\n")),
+                // The sliced odometer keeps the unsliced engine names
+                // (the window prune preserves the combination shape), so
+                // checkpoints stay interchangeable.
+                let verdict = match &slice {
+                    Some(sl) => possibly_singular_sliced_budgeted(
+                        comp,
+                        &truth,
+                        &phi,
+                        sl,
+                        threads,
+                        &opts.budget,
+                        &meter,
+                        opts.resume.as_ref(),
+                    ),
+                    None => possibly_singular_budgeted(
+                        comp,
+                        &truth,
+                        &phi,
+                        threads,
+                        &opts.budget,
+                        &meter,
+                        opts.resume.as_ref(),
+                    ),
                 }
+                .map_err(detect_error)?;
+                render_witness_verdict(comp, modality, expr, verdict, &opts)
             }
         }
         PredicateSpec::Sum { name, op, k } => {
@@ -789,14 +752,18 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                         }
                     }
                 },
-                (SumOp::Eq, true) => match definitely_exact_sum(comp, var, k) {
-                    Ok(verdict) => Ok(format!("{modality}({expr}): {verdict}\n")),
-                    Err(err) => {
-                        guard_enumeration(comp, enumerate, &err.to_string())?;
-                        let verdict = definitely_levelwise(comp, |c| var.sum_at(c) == k);
-                        Ok(format!("{modality}({expr}): {verdict} (by enumeration)\n"))
+                (SumOp::Eq, true) => {
+                    // Theorem 7 still sweeps the lattice for each
+                    // inequality it cannot short-circuit: guard.
+                    guard_enumeration(comp, enumerate, "Definitely(sum ==)")?;
+                    match definitely_exact_sum(comp, var, k) {
+                        Ok(verdict) => Ok(format!("{modality}({expr}): {verdict}\n")),
+                        Err(_) => {
+                            let verdict = definitely_levelwise(comp, |c| var.sum_at(c) == k);
+                            Ok(format!("{modality}({expr}): {verdict} (by enumeration)\n"))
+                        }
                     }
-                },
+                }
                 (op, false) => {
                     reject_resume("Possibly(sum relop)")?;
                     let relop = match op {
@@ -823,26 +790,23 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                         SumOp::Ge => Relop::Ge,
                         SumOp::Eq => unreachable!("handled above"),
                     };
-                    if opts.active {
-                        let verdict = definitely_sum_budgeted(
-                            comp,
-                            var,
-                            relop,
-                            k,
-                            threads,
-                            &opts.budget,
-                            &meter,
-                            opts.resume.as_ref(),
-                        )
-                        .map_err(detect_error)?;
-                        render_bool_verdict(modality, expr, verdict, &opts)
-                    } else {
-                        // definitely_sum short-circuits where it can but
-                        // may enumerate: guard.
+                    if !opts.active {
+                        // The engine short-circuits where it can but may
+                        // sweep the lattice: guard.
                         guard_enumeration(comp, enumerate, "Definitely(sum relop)")?;
-                        let verdict = definitely_sum(comp, var, relop, k);
-                        Ok(format!("{modality}({expr}): {verdict}\n"))
                     }
+                    let verdict = definitely_sum_budgeted(
+                        comp,
+                        var,
+                        relop,
+                        k,
+                        threads,
+                        &opts.budget,
+                        &meter,
+                        opts.resume.as_ref(),
+                    )
+                    .map_err(detect_error)?;
+                    render_bool_verdict(modality, expr, verdict, &opts)
                 }
             }
         }
@@ -866,22 +830,19 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                 CountSpec::Exactly(k) => SymmetricPredicate::exactly(k),
             };
             if definitely {
-                if opts.active {
-                    let verdict = definitely_levelwise_budgeted(
-                        comp,
-                        |cut| phi.eval(comp, var, cut),
-                        threads,
-                        &opts.budget,
-                        &meter,
-                        opts.resume.as_ref(),
-                    )
-                    .map_err(detect_error)?;
-                    render_bool_verdict(modality, expr, verdict, &opts)
-                } else {
+                if !opts.active {
                     guard_enumeration(comp, enumerate, "Definitely(count)")?;
-                    let verdict = definitely_symmetric(comp, var, &phi);
-                    Ok(format!("{modality}({expr}): {verdict}\n"))
                 }
+                let verdict = definitely_levelwise_budgeted(
+                    comp,
+                    |cut| phi.eval(comp, var, cut),
+                    threads,
+                    &opts.budget,
+                    &meter,
+                    opts.resume.as_ref(),
+                )
+                .map_err(detect_error)?;
+                render_bool_verdict(modality, expr, verdict, &opts)
             } else {
                 reject_resume("Possibly(count)")?;
                 match possibly_symmetric(comp, var, &phi) {
@@ -1231,6 +1192,29 @@ mod tests {
         // enumeration, which the guard refuses on a large trace.
         let err = detect(&args(&[&path, "--pred", "sum balance == 1200"])).unwrap_err();
         assert!(matches!(err, CliError::Intractable(_)), "{err:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn definitely_exact_sum_is_guarded_like_the_relops() {
+        // 20 independent processes of 4 events, x = 1 only in each one's
+        // third state. Σx == 1 has unit steps, but neither endpoint cut
+        // attains it, so Theorem 7 sweeps the 5²⁰-cut lattice.
+        let mut text = format!("gpd-trace 1\nprocesses 20\ncounts{}\n", " 4".repeat(20));
+        for p in 0..20 {
+            text.push_str(&format!("intvar x {p}: 0 0 0 1 0\n"));
+        }
+        text.push_str("end\n");
+        let path = std::env::temp_dir().join(format!(
+            "gpd-cli-test-exact-guard-{}.trace",
+            std::process::id()
+        ));
+        std::fs::write(&path, text).unwrap();
+        let path = path.to_string_lossy().to_string();
+        for pred in ["sum x == 1", "sum x >= 1"] {
+            let err = detect(&args(&[&path, "--pred", pred, "--definitely"])).unwrap_err();
+            assert!(matches!(err, CliError::Intractable(_)), "{pred}: {err:?}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

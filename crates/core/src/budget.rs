@@ -16,10 +16,10 @@
 //!   would have** — byte for byte, at any thread count.
 //!
 //! That replay guarantee holds because the budgeted engines only
-//! checkpoint at *deterministic* boundaries (a fully swept lattice level,
-//! a completed odometer wave); work interrupted mid-boundary is discarded
-//! and redone on resume. See `docs/ALGORITHMS.md` §10 for the argument
-//! per engine.
+//! checkpoint at *sound* boundaries (a fully swept lattice level, an
+//! odometer index below which every combination is eliminated) and
+//! return lowest-index witnesses; work past the boundary is redone on
+//! resume. See `docs/ALGORITHMS.md` §10 for the argument per engine.
 //!
 //! The same layer hardens the engines against panicking predicate
 //! closures: every budgeted entry point runs under `catch_unwind` (and
@@ -36,8 +36,9 @@ use gpd_computation::{fnv1a, Computation, Cut};
 ///
 /// Limits are *per call*: a resumed run gets a fresh deadline and node
 /// meter. Resuming therefore makes forward progress whenever the budget
-/// covers at least one checkpoint boundary (one lattice level, one
-/// odometer wave); the width cap is the exception — it is a hard memory
+/// covers at least one checkpoint boundary (one lattice level; the
+/// odometer always walks its first block); the width cap is the
+/// exception — it is a hard memory
 /// bound, so a level too wide for it fails identically on every resume.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Budget {
@@ -267,6 +268,16 @@ pub(crate) fn catch_detect<T>(f: impl FnOnce() -> T) -> Result<T, DetectError> {
         };
         DetectError::PredicatePanicked(msg)
     })
+}
+
+/// The value of an engine run under [`Budget::unlimited`] with no resume
+/// checkpoint, which always decides; a panic inside the run is re-raised.
+pub(crate) fn unlimited_value<T>(run: Result<Verdict<T>, DetectError>) -> T {
+    match run {
+        Ok(Verdict::Decided(value, _)) => value,
+        Ok(Verdict::Unknown(_)) => unreachable!("unlimited budgets always decide"),
+        Err(err) => panic!("{err}"),
+    }
 }
 
 /// FNV-1a fingerprint of a computation's shape (process count, events

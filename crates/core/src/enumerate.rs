@@ -21,7 +21,7 @@ use crate::budget::{
     catch_detect, problem_fingerprint, Budget, BudgetMeter, Checkpoint, DetectError, ExhaustReason,
     Partial, Progress, Verdict,
 };
-use crate::par::{fanout_chunks, into_inner_unpoisoned, lock_unpoisoned, WorkSource};
+use crate::par::{fanout_chunks, halt_fanout, into_inner_unpoisoned, lock_unpoisoned};
 
 /// Decides `Possibly(Φ)` by enumerating consistent cuts breadth-first;
 /// returns the first (smallest) witness cut.
@@ -176,13 +176,6 @@ fn decided<T>(verdict: Verdict<T>) -> T {
         Verdict::Decided(value, _) => value,
         Verdict::Unknown(_) => unreachable!("unlimited budgets always decide"),
     }
-}
-
-/// Records `reason` as the sweep's halt cause (first writer wins) and
-/// cancels the fan-out so the other workers drain out.
-fn halt_fanout(halt: &Mutex<Option<ExhaustReason>>, reason: ExhaustReason, src: &WorkSource) {
-    lock_unpoisoned(halt).get_or_insert(reason);
-    src.cancel();
 }
 
 /// The fixed context of one budgeted level sweep: every possibly and

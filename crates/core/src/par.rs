@@ -11,16 +11,12 @@
 //!   their next work-item boundary.
 //! * [`search_combinations`] — the same fan-out over the mixed-radix
 //!   combination space (one digit per clause) the §3.3 algorithms walk.
-//! * [`search_chunks`] — fan-out over *contiguous subranges* of a
-//!   linearized space, for searches that carry resumable state (the
-//!   prefix-sharing scan snapshots) across consecutive indices: each
-//!   worker owns whole chunks, so in-chunk state sharing survives the
-//!   parallel split.
 //! * [`map_indexed`] — order-preserving parallel map, used for the
 //!   per-clause chain-cover construction (DAG build + transitive closure
 //!   + matching are independent per clause).
 //! * [`fanout_chunks`] (crate-internal) — the raw work-stealing engine
-//!   the lattice sweeps in `enumerate.rs` build on directly.
+//!   the lattice sweeps in `enumerate.rs` and the §3.3 odometer walk in
+//!   `scan.rs` build on directly.
 //!
 //! # Threading model
 //!
@@ -52,14 +48,13 @@
 //! For a fixed input the **verdict** (`Some` vs `None`) is identical at
 //! every thread count: the searched space is the same finite set and
 //! workers only stop early once a witness is in hand. The *witness*
-//! returned by a parallel search may differ from the sequential one
-//! (whichever worker wins the race reports first), but every witness
-//! satisfies the predicate — callers that need the sequential witness run
-//! with `threads ≤ 1`, or canonicalize like the level sweeps in
-//! `enumerate.rs` (which take the *minimum-index* hit of each level and
-//! are therefore byte-identical at every thread count). This contract is
-//! exercised by the `parallel_determinism` tests in
-//! `tests/parallel_agreement.rs`.
+//! returned by [`search_first`] and [`search_combinations`] may differ
+//! from the sequential one (whichever worker wins the race reports
+//! first), but every witness satisfies the predicate. The detectors
+//! canonicalize instead: the level sweeps in `enumerate.rs` and the
+//! §3.3 odometer walk in `scan.rs` publish hits with `fetch_min` and
+//! keep the *lowest-index* one, so their witnesses are byte-identical at
+//! every thread count. `tests/parallel_agreement.rs` exercises both.
 //!
 //! # Panic isolation
 //!
@@ -73,6 +68,7 @@
 //! want a structured error instead of a propagated panic wrap the call in
 //! `crate::budget::catch_detect` (every budgeted engine does).
 
+use crate::budget::ExhaustReason;
 use crate::pool;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -80,7 +76,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Cooperative cancellation shared by one fan-out's workers.
 #[derive(Debug, Default)]
-pub struct Cancellation {
+pub(crate) struct Cancellation {
     flag: AtomicBool,
 }
 
@@ -101,6 +97,11 @@ impl Cancellation {
 
 /// Caps the requested worker count to the actual work and the machine.
 fn worker_count(threads: usize, work: usize) -> usize {
+    if threads <= 1 {
+        // No hardware query: it reads cgroup files on every call, and
+        // sequential walks fan out once per wave or level.
+        return threads.min(work);
+    }
     let hw = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -266,11 +267,6 @@ impl WorkSource<'_> {
         None
     }
 
-    /// The fan-out's cancellation flag (shared with every worker).
-    pub(crate) fn cancellation(&self) -> &Cancellation {
-        self.cancel
-    }
-
     pub(crate) fn is_cancelled(&self) -> bool {
         self.cancel.is_cancelled()
     }
@@ -278,6 +274,17 @@ impl WorkSource<'_> {
     pub(crate) fn cancel(&self) {
         self.cancel.cancel();
     }
+}
+
+/// Records `reason` as a budgeted fan-out's halt cause (first writer
+/// wins) and cancels the fan-out so the other workers drain out.
+pub(crate) fn halt_fanout(
+    halt: &Mutex<Option<ExhaustReason>>,
+    reason: ExhaustReason,
+    src: &WorkSource,
+) {
+    lock_unpoisoned(halt).get_or_insert(reason);
+    src.cancel();
 }
 
 /// Runs `worker(w, source)` for every worker index of one fan-out over
@@ -406,49 +413,6 @@ where
         }
         f(&digits)
     })
-}
-
-/// Searches `0..total` in contiguous chunks of `chunk` indices for the
-/// first range whose `f` returns `Some`, fanning the chunks out over
-/// `threads` workers with first-witness cancellation.
-///
-/// Unlike [`search_first`], which hands out single indices, this hands
-/// each worker a whole `Range` at a time — the shape needed by searches
-/// that carry resumable per-worker state (e.g. [`crate::singular`]'s
-/// prefix-sharing scan snapshots) from one index to the next. `f` must
-/// check the passed [`Cancellation`] at its own convenient boundaries
-/// within a range.
-///
-/// With `threads ≤ 1` this is exactly one call `f(0..total, _)` on the
-/// caller's thread: the historical sequential walk, state shared across
-/// the entire space. In parallel, each worker owns a contiguous span of
-/// chunks and idle workers steal span halves, so the verdict is
-/// thread-count invariant while the witness may be whichever worker's.
-pub fn search_chunks<T, F>(threads: usize, total: usize, chunk: usize, f: F) -> Option<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>, &Cancellation) -> Option<T> + Sync,
-{
-    let chunk = chunk.max(1);
-    let workers = worker_count(threads, total.div_ceil(chunk));
-    if workers <= 1 {
-        let cancel = Cancellation::new();
-        return f(0..total, &cancel);
-    }
-    let found: Mutex<Option<T>> = Mutex::new(None);
-    fanout_chunks(threads, total, chunk, &|w, source| {
-        while let Some(range) = source.next(w) {
-            if let Some(witness) = f(range, source.cancellation()) {
-                source.cancel();
-                let mut slot = lock_unpoisoned(&found);
-                if slot.is_none() {
-                    *slot = Some(witness);
-                }
-                return;
-            }
-        }
-    });
-    into_inner_unpoisoned(found)
 }
 
 /// Order-preserving parallel map over `0..count`: returns
@@ -597,50 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_search_sequential_is_one_full_range() {
-        for threads in [0, 1] {
-            let calls = AtomicUsize::new(0);
-            let hit = search_chunks(threads, 10, 3, |range, _| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                assert_eq!(range, 0..10);
-                range.into_iter().find(|&i| i == 7)
-            });
-            assert_eq!(hit, Some(7));
-            assert_eq!(calls.load(Ordering::Relaxed), 1);
-        }
-    }
-
-    #[test]
-    fn chunked_search_covers_the_space() {
-        for threads in [2, 4] {
-            let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-            let miss: Option<usize> = search_chunks(threads, 100, 7, |range, _| {
-                seen.lock().unwrap().extend(range);
-                None
-            });
-            assert_eq!(miss, None, "threads = {threads}");
-            let mut seen = seen.into_inner().unwrap();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..100).collect::<Vec<_>>(), "threads = {threads}");
-            let hit = search_chunks(threads, 100, 7, |range, _| {
-                range.into_iter().find(|&i| i == 42)
-            });
-            assert_eq!(hit, Some(42), "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn chunked_search_empty_space_rejects() {
-        for threads in [0, 4] {
-            let miss: Option<()> = search_chunks(threads, 0, 5, |range, _| {
-                assert!(range.is_empty());
-                None
-            });
-            assert_eq!(miss, None);
-        }
-    }
-
-    #[test]
     fn map_indexed_preserves_order() {
         for threads in [0, 1, 2, 4] {
             let out = map_indexed(threads, 100, |i| i * i);
@@ -675,16 +595,6 @@ mod tests {
                 })
             });
             assert!(caught.is_err(), "search_first, threads = {threads}");
-
-            let caught = std::panic::catch_unwind(|| {
-                search_chunks(threads, 100, 7, |range, _| -> Option<usize> {
-                    if range.contains(&42) {
-                        panic!("bad range");
-                    }
-                    None
-                })
-            });
-            assert!(caught.is_err(), "search_chunks, threads = {threads}");
 
             let caught = std::panic::catch_unwind(|| {
                 map_indexed(threads, 50, |i| {

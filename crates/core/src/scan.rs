@@ -35,7 +35,8 @@
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use gpd_computation::{Computation, Cut, ProcessId};
 
@@ -44,7 +45,7 @@ use crate::budget::{
     ExhaustReason, Partial, Progress, Verdict,
 };
 use crate::counters;
-use crate::par::Cancellation;
+use crate::par::{fanout_chunks, halt_fanout, into_inner_unpoisoned, lock_unpoisoned};
 
 /// A local state `(process, executed-event count)` offered to the scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,10 +303,6 @@ impl<'a> PrefixScan<'a> {
         }
     }
 
-    pub(crate) fn depth(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Pops back to the first `depth` slots (their snapshot is reused
     /// as-is — no rescan).
     pub(crate) fn truncate(&mut self, depth: usize) {
@@ -328,6 +325,14 @@ impl<'a> PrefixScan<'a> {
         alive
     }
 
+    /// Whether the current prefix is dead (and so is every extension).
+    pub(crate) fn is_dead(&self) -> bool {
+        self.snaps
+            .last()
+            .expect("snapshot stack non-empty")
+            .is_dead()
+    }
+
     /// The current prefix's solution (all pushed slots settled alive).
     pub(crate) fn solution(&self) -> Option<Vec<Candidate>> {
         self.snaps
@@ -337,98 +342,17 @@ impl<'a> PrefixScan<'a> {
     }
 }
 
-/// Searches the §3.3 combination space — one choice of candidate slot
-/// per clause, `choices[j]` listing clause `j`'s alternatives — for the
-/// first combination whose scan succeeds, sharing scan work between
-/// combinations that agree on a prefix of choices.
-///
-/// Sequential (`threads ≤ 1`) runs walk the whole odometer on the
-/// caller's thread and return the *same witness as the seed's
-/// from-scratch walk* (confluence, see [`scan`]). Parallel runs hand
-/// contiguous subranges of the odometer to workers (chunked at the
-/// innermost dimension so in-chunk prefix sharing survives), each worker
-/// owning its own [`PrefixScan`] snapshot stack; the first witness found
-/// cancels the rest, preserving the verdict-invariance contract of
-/// `tests/parallel_agreement.rs`.
-pub(crate) fn scan_combinations_shared(
-    comp: &Computation,
-    threads: usize,
-    choices: &[Vec<Vec<Candidate>>],
-) -> Option<Vec<Candidate>> {
-    let sizes: Vec<usize> = choices.iter().map(Vec::len).collect();
-    let mut total: usize = 1;
-    for &s in &sizes {
-        if s == 0 {
-            return None;
-        }
-        // Saturate like `par::search_combinations`: a space too large to
-        // index cannot be searched exhaustively in any case.
-        total = total.saturating_mul(s);
-    }
-    // strides[j] = combinations per step of digit j (odometer order:
-    // most-significant digit first, last digit fastest).
-    let mut strides = vec![1usize; sizes.len()];
-    for j in (0..sizes.len().saturating_sub(1)).rev() {
-        strides[j] = strides[j + 1].saturating_mul(sizes[j + 1]);
-    }
-    let chunk = sizes.last().copied().unwrap_or(1).max(1);
-    crate::par::search_chunks(threads, total, chunk, |range, cancel| {
-        walk_range(comp, choices, &sizes, &strides, range, cancel)
-    })
-}
-
-/// Walks one contiguous odometer subrange with a private snapshot stack.
-fn walk_range(
-    comp: &Computation,
-    choices: &[Vec<Vec<Candidate>>],
-    sizes: &[usize],
-    strides: &[usize],
-    range: Range<usize>,
-    cancel: &Cancellation,
-) -> Option<Vec<Candidate>> {
-    let g = sizes.len();
-    let mut engine = PrefixScan::new(comp);
-    // The digits currently pushed on the engine (a prefix of a decode).
-    let mut pushed: Vec<usize> = Vec::new();
-    let mut idx = range.start;
-    while idx < range.end {
-        if cancel.is_cancelled() {
-            return None;
-        }
-        // Resume from the deepest snapshot whose digits match this
-        // combination's decode.
-        let mut depth = 0;
-        while depth < pushed.len() && pushed[depth] == (idx / strides[depth]) % sizes[depth] {
-            depth += 1;
-        }
-        engine.truncate(depth);
-        pushed.truncate(depth);
-        let mut dead_at = None;
-        for j in engine.depth()..g {
-            let digit = (idx / strides[j]) % sizes[j];
-            pushed.push(digit);
-            if !engine.push(choices[j][digit].clone()) {
-                dead_at = Some(j);
-                break;
-            }
-        }
-        match dead_at {
-            // A dead prefix is dead under every extension: skip the
-            // whole subtree by stepping digit j (with carry).
-            Some(j) => idx = (idx - idx % strides[j]).saturating_add(strides[j]),
-            // All slots settled alive: the heads are the witness.
-            None => return engine.solution(),
-        }
-    }
-    None
-}
-
 // ---------------------------------------------------------------------------
-// Budgeted odometer: deadline/node governed, resumable, deterministic
+// The §3.3 odometer walk: budgeted, resumable, lowest-index witness
 // ---------------------------------------------------------------------------
 
-/// Outcome of one budgeted pass over the §3.3 combination odometer.
-pub(crate) enum OdometerOutcome {
+/// Blocks per wave of [`walk_odometer`]. A wave is one pool dispatch, and
+/// its per-block reach table is the walk's only bookkeeping that grows
+/// with the space.
+const WAVE_BLOCKS: usize = 4096;
+
+/// Outcome of one pass over the §3.3 combination odometer.
+enum OdometerOutcome {
     /// The **lowest-index** live combination's settled heads.
     Found { solution: Vec<Candidate> },
     /// Every combination was scanned or pruned; no witness exists.
@@ -439,179 +363,252 @@ pub(crate) enum OdometerOutcome {
     Interrupted { next: u64, reason: ExhaustReason },
 }
 
-/// Per-block result of [`walk_block`].
-struct BlockResult {
-    visited: u64,
-    found: Option<(usize, Vec<Candidate>)>,
-    interrupted: bool,
+/// The §3.3 combination space in odometer order. `choices[j]` lists
+/// clause `j`'s alternatives, and combination `idx` takes alternative
+/// `digit(idx, j)` of every clause `j`: the first clause is the most
+/// significant digit, the last one turns fastest.
+struct Odometer<'c> {
+    choices: &'c [Vec<Vec<Candidate>>],
+    /// `strides[j]` = combinations per step of digit `j`.
+    strides: Vec<usize>,
+    /// `∏ⱼ |choices[j]|`, zero when some clause has no alternative. It
+    /// saturates: a space too large to index cannot be searched
+    /// exhaustively in any case.
+    total: usize,
 }
 
-/// [`scan_combinations_shared`] under a [`Budget`], resumable from an
-/// odometer position.
+impl<'c> Odometer<'c> {
+    fn new(choices: &'c [Vec<Vec<Candidate>>]) -> Self {
+        let mut strides = vec![1usize; choices.len()];
+        for j in (0..choices.len().saturating_sub(1)).rev() {
+            strides[j] = strides[j + 1].saturating_mul(choices[j + 1].len());
+        }
+        let total = choices
+            .iter()
+            .fold(1, |t: usize, c| t.saturating_mul(c.len()));
+        Odometer {
+            choices,
+            strides,
+            total,
+        }
+    }
+
+    fn digit(&self, idx: usize, j: usize) -> usize {
+        (idx / self.strides[j]) % self.choices[j].len()
+    }
+}
+
+/// How far one [`Walker::walk`] got.
+struct Reach {
+    /// Every combination from the walk's start up to (excluding) `idx`
+    /// is eliminated. It may lie past the walked range when a dead
+    /// prefix's subtree runs on.
+    idx: usize,
+    /// The settled heads of combination `idx` when it is live.
+    solution: Option<Vec<Candidate>>,
+    /// Combinations decoded: the unit of the budget's node cap.
+    visited: u64,
+}
+
+/// One worker's place in the walk: a [`PrefixScan`] snapshot stack and
+/// the digits pushed on it. A walker lives for a whole [`walk_odometer`]
+/// call, so each block a worker takes, in any wave, resumes from the
+/// deepest snapshot its previous combination shares with the new one,
+/// and a dead prefix found in one block still prunes the next.
+struct Walker<'a> {
+    engine: PrefixScan<'a>,
+    pushed: Vec<usize>,
+}
+
+impl<'a> Walker<'a> {
+    fn new(comp: &'a Computation) -> Self {
+        Walker {
+            engine: PrefixScan::new(comp),
+            pushed: Vec::new(),
+        }
+    }
+
+    /// Walks `range` in order up to its first live combination, stopping
+    /// early before combination `idx` when `halt(idx, visited)` says so.
+    fn walk(
+        &mut self,
+        odo: &Odometer,
+        range: Range<usize>,
+        halt: impl Fn(usize, u64) -> bool,
+    ) -> Reach {
+        let mut idx = range.start;
+        let mut visited = 0;
+        while idx < range.end && !halt(idx, visited) {
+            visited += 1;
+            let mut depth = 0;
+            while depth < self.pushed.len() && self.pushed[depth] == odo.digit(idx, depth) {
+                depth += 1;
+            }
+            self.engine.truncate(depth);
+            self.pushed.truncate(depth);
+            // Only the top snapshot can be dead (pushing stops there), and
+            // the empty one never is.
+            let mut dead_at = self.engine.is_dead().then(|| depth - 1);
+            if dead_at.is_none() {
+                for j in depth..odo.choices.len() {
+                    let digit = odo.digit(idx, j);
+                    self.pushed.push(digit);
+                    if !self.engine.push(odo.choices[j][digit].clone()) {
+                        dead_at = Some(j);
+                        break;
+                    }
+                }
+            }
+            match dead_at {
+                // A dead prefix is dead under every extension: skip the
+                // whole subtree by stepping digit j (with carry).
+                Some(j) => idx = (idx - idx % odo.strides[j]).saturating_add(odo.strides[j]),
+                None => {
+                    return Reach {
+                        idx,
+                        solution: self.engine.solution(),
+                        visited,
+                    }
+                }
+            }
+        }
+        Reach {
+            idx,
+            solution: None,
+            visited,
+        }
+    }
+}
+
+/// Searches the §3.3 combination space from combination `start` on for
+/// the **lowest-index** combination whose scan succeeds.
 ///
-/// The walk is **wave-synchronous**: combinations are consumed in waves
-/// of `chunk × workers × 4` indices, each wave's blocks settled in
-/// parallel and their lowest-index witness aggregated before the next
-/// wave starts. Budgets are decided at wave boundaries (plus a
-/// fine-grained in-wave deadline probe that discards the whole wave when
-/// it fires), so an interrupted run resumes on exactly the boundary an
-/// uninterrupted run would also have crossed — which is why
-/// interrupted-then-resumed verdicts and witnesses are byte-identical to
-/// uninterrupted ones at every thread count. The node cap is only
-/// checked *between* waves, so every resumed call completes at least one
-/// wave: chained tiny-budget resumes always terminate.
-pub(crate) fn scan_combinations_budgeted(
+/// The walk runs in waves of [`WAVE_BLOCKS`] blocks of one innermost-digit
+/// period each, every wave fanned out over `threads` workers
+/// ([`fanout_chunks`]). Each worker keeps one [`Walker`] for the whole
+/// call, so prefix sharing and dead-prefix pruning carry across blocks
+/// and waves.
+///
+/// A worker stops at its block's first live combination and publishes
+/// its index with `fetch_min`; blocks above the published index stop
+/// early. After each wave `next` advances over the contiguous run of
+/// eliminated combinations from the wave's start, including dead-prefix
+/// subtrees that run past the wave's end. A live combination at `next`
+/// is therefore the lowest-index one of the whole space: the witness is
+/// the same at every thread count.
+///
+/// Budgets are gated at every block start (the deadline also every 16
+/// combinations). A trip drains the wave and the walk returns
+/// `Interrupted` at `next`: everything below it is eliminated, so a walk
+/// resumed there reaches the uninterrupted witness. The call's first
+/// block is exempt from the node cap, so each call eliminates at least
+/// one combination and chained tiny-budget resumes always progress.
+fn walk_odometer(
     comp: &Computation,
     threads: usize,
-    choices: &[Vec<Vec<Candidate>>],
+    odo: &Odometer,
     budget: &Budget,
     meter: &BudgetMeter,
     start: u64,
 ) -> OdometerOutcome {
-    let sizes: Vec<usize> = choices.iter().map(Vec::len).collect();
-    if sizes.contains(&0) {
-        return OdometerOutcome::Exhausted;
-    }
-    let mut total: usize = 1;
-    for &s in &sizes {
-        total = total.saturating_mul(s);
-    }
-    let mut strides = vec![1usize; sizes.len()];
-    for j in (0..sizes.len().saturating_sub(1)).rev() {
-        strides[j] = strides[j + 1].saturating_mul(sizes[j + 1]);
-    }
+    let chunk = odo.choices.last().map_or(1, Vec::len).max(1);
     let workers = threads.max(1);
-    let chunk = sizes.last().copied().unwrap_or(1).max(1);
-    let wave = chunk.saturating_mul(workers).saturating_mul(4);
-    let mut at = start.min(total as u64) as usize;
-    while at < total {
+    let walkers: Vec<Mutex<Walker>> = (0..workers)
+        .map(|_| Mutex::new(Walker::new(comp)))
+        .collect();
+    let gate = |exempt: bool| {
         if budget.deadline_exceeded() {
-            return OdometerOutcome::Interrupted {
-                next: at as u64,
-                reason: ExhaustReason::Deadline,
-            };
+            Some(ExhaustReason::Deadline)
+        } else if !exempt && budget.nodes_exceeded(meter.nodes()) {
+            Some(ExhaustReason::Nodes)
+        } else {
+            None
         }
-        if budget.nodes_exceeded(meter.nodes()) {
-            return OdometerOutcome::Interrupted {
-                next: at as u64,
-                reason: ExhaustReason::Nodes,
-            };
-        }
-        let end = at.saturating_add(wave).min(total);
-        let blocks = (end - at).div_ceil(chunk);
-        let best = AtomicU64::new(u64::MAX);
-        let abort = AtomicBool::new(false);
-        let results = crate::par::map_indexed(threads, blocks, |b| {
-            let lo = at + b * chunk;
-            let hi = (lo + chunk).min(end);
-            walk_block(
-                comp,
-                choices,
-                &sizes,
-                &strides,
-                lo..hi,
-                budget,
-                &best,
-                &abort,
-            )
+    };
+    let wave = chunk.saturating_mul(WAVE_BLOCKS);
+    // A resume index was validated against `total`, so it fits.
+    let mut next = start as usize;
+    let mut first = true;
+    while next < odo.total {
+        let base = next;
+        let len = wave.min(odo.total - base);
+        let reach: Vec<AtomicUsize> = (0..len.div_ceil(chunk))
+            .map(|b| AtomicUsize::new(base + b * chunk))
+            .collect();
+        let best = AtomicUsize::new(usize::MAX);
+        let found: Mutex<Option<(usize, Vec<Candidate>)>> = Mutex::new(None);
+        let halt: Mutex<Option<ExhaustReason>> = Mutex::new(None);
+        fanout_chunks(threads, len, chunk, &|w, src| {
+            let mut walker = lock_unpoisoned(&walkers[w]);
+            while let Some(r) = src.next(w) {
+                // A block past a live combination cannot lower the minimum.
+                if base + r.start > best.load(Ordering::Acquire) {
+                    continue;
+                }
+                // A gate trip stops this worker without cancelling the
+                // fan-out, so the call's first block, exempt from the node
+                // cap, is still claimed and run by someone.
+                if let Some(reason) = gate(first && r.start == 0) {
+                    lock_unpoisoned(&halt).get_or_insert(reason);
+                    return;
+                }
+                let step = walker.walk(odo, base + r.start..base + r.end, |idx, visited| {
+                    if idx > best.load(Ordering::Acquire) || src.is_cancelled() {
+                        return true;
+                    }
+                    let late =
+                        visited > 0 && visited.is_multiple_of(16) && budget.deadline_exceeded();
+                    if late {
+                        halt_fanout(&halt, ExhaustReason::Deadline, src);
+                    }
+                    late
+                });
+                meter.charge(step.visited);
+                reach[r.start / chunk].store(step.idx, Ordering::Release);
+                if let Some(solution) = step.solution {
+                    best.fetch_min(step.idx, Ordering::AcqRel);
+                    let mut slot = lock_unpoisoned(&found);
+                    if slot.as_ref().is_none_or(|&(i, _)| step.idx < i) {
+                        *slot = Some((step.idx, solution));
+                    }
+                }
+            }
         });
-        meter.charge(results.iter().map(|r| r.visited).sum());
-        if results.iter().any(|r| r.interrupted) {
-            // The deadline fired mid-wave: discard the wave's findings
-            // wholesale so the checkpoint stays on a deterministic
-            // boundary (the resumed run redoes the wave in full).
-            return OdometerOutcome::Interrupted {
-                next: at as u64,
-                reason: ExhaustReason::Deadline,
-            };
+        for (b, r) in reach.iter().enumerate() {
+            if base + b * chunk > next {
+                break;
+            }
+            next = next.max(r.load(Ordering::Acquire));
         }
-        let found = results
-            .into_iter()
-            .filter_map(|r| r.found)
-            .min_by_key(|&(i, _)| i);
-        if let Some((_, solution)) = found {
-            return OdometerOutcome::Found { solution };
+        if let Some((idx, solution)) = into_inner_unpoisoned(found) {
+            if idx == next {
+                return OdometerOutcome::Found { solution };
+            }
         }
-        at = end;
+        if let Some(reason) = into_inner_unpoisoned(halt) {
+            if next < odo.total {
+                return OdometerOutcome::Interrupted {
+                    next: next as u64,
+                    reason,
+                };
+            }
+        }
+        debug_assert!(
+            next >= base + len,
+            "an uninterrupted wave eliminates its range"
+        );
+        first = false;
     }
     OdometerOutcome::Exhausted
 }
 
-/// Walks one contiguous block of a wave with a private snapshot stack,
-/// stopping early when another block published a smaller witness index
-/// (`best`) or the shared deadline `abort` flag rose. Mirrors
-/// [`walk_range`] exactly in decode, prefix resume and dead-prefix
-/// skipping, so the set of combinations it eliminates is identical.
-#[allow(clippy::too_many_arguments)]
-fn walk_block(
-    comp: &Computation,
-    choices: &[Vec<Vec<Candidate>>],
-    sizes: &[usize],
-    strides: &[usize],
-    range: Range<usize>,
-    budget: &Budget,
-    best: &AtomicU64,
-    abort: &AtomicBool,
-) -> BlockResult {
-    let g = sizes.len();
-    let mut res = BlockResult {
-        visited: 0,
-        found: None,
-        interrupted: false,
-    };
-    let mut engine = PrefixScan::new(comp);
-    let mut pushed: Vec<usize> = Vec::new();
-    let mut idx = range.start;
-    while idx < range.end {
-        if abort.load(Ordering::Acquire) {
-            res.interrupted = true;
-            return res;
-        }
-        // A strictly smaller witness index already exists: nothing in
-        // the rest of this block can beat it.
-        if idx as u64 > best.load(Ordering::Acquire) {
-            return res;
-        }
-        if res.visited.is_multiple_of(16) && budget.deadline_exceeded() {
-            abort.store(true, Ordering::Release);
-            res.interrupted = true;
-            return res;
-        }
-        res.visited += 1;
-        let mut depth = 0;
-        while depth < pushed.len() && pushed[depth] == (idx / strides[depth]) % sizes[depth] {
-            depth += 1;
-        }
-        engine.truncate(depth);
-        pushed.truncate(depth);
-        let mut dead_at = None;
-        for j in engine.depth()..g {
-            let digit = (idx / strides[j]) % sizes[j];
-            pushed.push(digit);
-            if !engine.push(choices[j][digit].clone()) {
-                dead_at = Some(j);
-                break;
-            }
-        }
-        match dead_at {
-            Some(j) => idx = (idx - idx % strides[j]).saturating_add(strides[j]),
-            None => {
-                best.fetch_min(idx as u64, Ordering::AcqRel);
-                res.found = engine.solution().map(|s| (idx, s));
-                return res;
-            }
-        }
-    }
-    res
-}
-
-/// Shared budgeted entry point for the §3.3 engines: validates/decodes a
-/// resume [`Checkpoint`] against this odometer's shape, runs
-/// [`scan_combinations_budgeted`] with panics contained, and maps the
-/// outcome onto [`Verdict`] — `Found` becomes the least cut through the
-/// winning candidates, `Interrupted` becomes `Unknown` with sound
+/// Shared entry point of the §3.3 engines: validates/decodes a resume
+/// [`Checkpoint`] against this odometer's shape, runs [`walk_odometer`]
+/// with panics contained, and maps the outcome onto [`Verdict`] —
+/// `Found` becomes the least cut through the winning candidates,
+/// `Interrupted` becomes `Unknown` with sound
 /// `combinations_eliminated`/`combinations_total` bounds and a
-/// checkpoint at the interrupted wave's start.
+/// checkpoint at the first combination not yet eliminated.
 pub(crate) fn run_odometer(
     detector: &'static str,
     comp: &Computation,
@@ -623,21 +620,14 @@ pub(crate) fn run_odometer(
 ) -> Result<Verdict<Option<Cut>>, DetectError> {
     let sizes: Vec<usize> = choices.iter().map(Vec::len).collect();
     let problem = odometer_fingerprint(comp, &sizes);
-    let total = if sizes.contains(&0) {
-        0
-    } else {
-        let mut t: usize = 1;
-        for &s in &sizes {
-            t = t.saturating_mul(s);
-        }
-        t as u64
-    };
+    let odo = Odometer::new(choices);
+    let total = odo.total as u64;
     let start = match resume {
         None => 0u64,
         Some(cp) => cp.restore_odometer(detector, problem, total)?,
     };
-    catch_detect(move || {
-        match scan_combinations_budgeted(comp, threads, choices, budget, meter, start) {
+    catch_detect(
+        move || match walk_odometer(comp, threads, &odo, budget, meter, start) {
             OdometerOutcome::Found { solution } => Verdict::Decided(
                 Some(cut_through(comp, &solution)),
                 Progress {
@@ -665,8 +655,8 @@ pub(crate) fn run_odometer(
                 },
                 checkpoint: Checkpoint::odometer(detector, problem, next, total),
             }),
-        }
-    })
+        },
+    )
 }
 
 /// The least consistent cut passing through all the (pairwise consistent)
@@ -828,6 +818,20 @@ mod tests {
         })
     }
 
+    /// The odometer walk's witness under an unlimited budget.
+    fn walk_unlimited(
+        comp: &Computation,
+        threads: usize,
+        choices: &[Vec<Vec<Candidate>>],
+    ) -> Option<Vec<Candidate>> {
+        let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
+        match walk_odometer(comp, threads, &Odometer::new(choices), &budget, &meter, 0) {
+            OdometerOutcome::Found { solution } => Some(solution),
+            OdometerOutcome::Exhausted => None,
+            OdometerOutcome::Interrupted { .. } => unreachable!("unlimited budgets never trip"),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -846,9 +850,9 @@ mod tests {
             prop_assert_eq!(scan(&comp, &slots), scan_restart(&comp, &slots));
         }
 
-        /// The prefix-sharing odometer walk returns the exact witness of
-        /// the seed's from-scratch walk sequentially, and an identical
-        /// verdict at higher thread counts.
+        /// The odometer walk returns the exact witness of the seed's
+        /// from-scratch walk at every thread count, also as a chain of
+        /// one-node legs each resumed where the last one stopped.
         #[test]
         fn prefix_shared_walk_matches_from_scratch_walk(
             seed in any::<u64>(),
@@ -882,11 +886,24 @@ mod tests {
                 })
                 .collect();
             let expected = first_witness_from_scratch(&comp, &choices);
-            let shared = scan_combinations_shared(&comp, 0, &choices);
-            prop_assert_eq!(&shared, &expected, "sequential witness must be byte-identical");
-            for threads in [2usize, 4] {
-                let par = scan_combinations_shared(&comp, threads, &choices);
-                prop_assert_eq!(par.is_some(), expected.is_some(), "threads = {}", threads);
+            for threads in [0usize, 1, 2, 4] {
+                let walked = walk_unlimited(&comp, threads, &choices);
+                prop_assert_eq!(&walked, &expected, "threads = {}", threads);
+            }
+            let (odo, leg) = (Odometer::new(&choices), Budget::unlimited().with_max_nodes(1));
+            for threads in [1usize, 2, 4] {
+                let mut start = 0;
+                let resumed = loop {
+                    match walk_odometer(&comp, threads, &odo, &leg, &BudgetMeter::new(), start) {
+                        OdometerOutcome::Found { solution } => break Some(solution),
+                        OdometerOutcome::Exhausted => break None,
+                        OdometerOutcome::Interrupted { next, .. } => {
+                            prop_assert!(next > start, "threads = {}", threads);
+                            start = next;
+                        }
+                    }
+                };
+                prop_assert_eq!(&resumed, &expected, "resumed, threads = {}", threads);
             }
         }
     }
@@ -930,6 +947,35 @@ mod tests {
     }
 
     #[test]
+    fn spent_node_cap_still_progresses_every_call() {
+        // Every combination dies at its last clause, so each one costs a
+        // visit; the meter starts past the cap, as after a budgeted slice
+        // build spent it.
+        let comp = ComputationBuilder::new(2).build().unwrap();
+        let choices = vec![vec![vec![cand(0, 0)]; 8], vec![Vec::new(); 8]];
+        let odo = Odometer::new(&choices);
+        let budget = Budget::unlimited().with_max_nodes(1);
+        for threads in [1usize, 2, 4] {
+            let (mut start, mut legs) = (0u64, 0);
+            loop {
+                let meter = BudgetMeter::new();
+                meter.charge(100);
+                match walk_odometer(&comp, threads, &odo, &budget, &meter, start) {
+                    OdometerOutcome::Interrupted { next, reason } => {
+                        assert_eq!(reason, ExhaustReason::Nodes);
+                        assert!(next > start, "threads {threads}: stuck at {start}");
+                        start = next;
+                    }
+                    OdometerOutcome::Exhausted => break,
+                    OdometerOutcome::Found { .. } => panic!("no combination is live"),
+                }
+                legs += 1;
+            }
+            assert!(legs > 1, "threads {threads}: the cap never tripped");
+        }
+    }
+
+    #[test]
     fn dead_prefix_skips_whole_subtree() {
         // First clause has only an empty slot: the walker must reject
         // without ever pushing the second clause's choices.
@@ -942,7 +988,7 @@ mod tests {
             vec![vec![cand(1, 0)], vec![cand(1, 1)]],
         ];
         let before = crate::counters::snapshot();
-        assert_eq!(scan_combinations_shared(&comp, 0, &choices), None);
+        assert_eq!(walk_unlimited(&comp, 0, &choices), None);
         let delta = crate::counters::snapshot().since(&before);
         // 2 dead pushes of clause 0's empty slots; clause 1 never runs.
         assert!(delta.scan_runs <= 4, "subtree not skipped: {delta:?}");

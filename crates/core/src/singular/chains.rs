@@ -4,10 +4,10 @@
 use gpd_computation::{BoolVariable, Computation, Cut};
 use gpd_order::{min_chain_cover, Dag};
 
-use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
+use crate::budget::{unlimited_value, Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
 use crate::par::map_indexed;
 use crate::predicate::SingularCnf;
-use crate::scan::{cut_through, run_odometer, scan_combinations_shared, Candidate};
+use crate::scan::{run_odometer, Candidate};
 use crate::singular::literal_states;
 
 /// Engine name embedded in [`possibly_singular_chains_budgeted`]'s
@@ -17,7 +17,7 @@ pub const SINGULAR_CHAINS: &str = "singular-chains";
 /// Builds, for one clause, the minimum chain cover of its literal-true
 /// states under the causal order on states (state `(p, k)` precedes
 /// `(q, l)` when every cut through `(q, l)` contains `(p, k)`'s past).
-pub(crate) fn clause_chains(
+fn clause_chains(
     comp: &Computation,
     var: &BoolVariable,
     clause: &crate::predicate::CnfClause,
@@ -86,10 +86,9 @@ pub fn chain_cover_sizes(
     var: &BoolVariable,
     predicate: &SingularCnf,
 ) -> Vec<usize> {
-    predicate
-        .clauses()
+    clause_covers(comp, var, predicate, 0)
         .iter()
-        .map(|c| clause_chains(comp, var, c).len())
+        .map(Vec::len)
         .collect()
 }
 
@@ -129,34 +128,48 @@ pub fn possibly_singular_chains(
     possibly_singular_chains_par(comp, var, predicate, 0)
 }
 
+/// Every clause's chain cover — the odometer dimensions of the chain
+/// algorithm. The covers are independent per clause (DAG + transitive
+/// closure + matching), so they are built on up to `threads` workers.
+pub(crate) fn clause_covers(
+    comp: &Computation,
+    var: &BoolVariable,
+    predicate: &SingularCnf,
+    threads: usize,
+) -> Vec<Vec<Vec<Candidate>>> {
+    let clauses = predicate.clauses();
+    map_indexed(threads, clauses.len(), |i| {
+        clause_chains(comp, var, &clauses[i])
+    })
+}
+
 /// [`possibly_singular_chains`] parallelized over `threads` workers
-/// (`0`/`1` → the sequential walk; see [`crate::par`] for the scheduling
-/// and determinism contract). Both phases fan out: the per-clause cover
-/// construction (DAG + transitive closure + matching are independent per
-/// clause) and the `∏ᵢ cᵢ` combination scans, which stop at the first
-/// witness any worker finds.
+/// (`0`/`1` → sequential). Both phases fan out: the per-clause cover
+/// construction and the `∏ᵢ cᵢ` combination walk (see
+/// [`possibly_singular_chains_budgeted`]), whose witness is the
+/// sequential one at every thread count.
 pub fn possibly_singular_chains_par(
     comp: &Computation,
     var: &BoolVariable,
     predicate: &SingularCnf,
     threads: usize,
 ) -> Option<Cut> {
-    let clauses = predicate.clauses();
-    let covers: Vec<Vec<Vec<Candidate>>> = map_indexed(threads, clauses.len(), |i| {
-        clause_chains(comp, var, &clauses[i])
-    });
-    // Odometer walk with prefix-shared scan snapshots (see
-    // `crate::scan::PrefixScan`): combinations agreeing on their first j
-    // chain choices resume from the j-th checkpoint. An empty cover
-    // (clause with no true states) is a zero-sized dimension → `None`.
-    scan_combinations_shared(comp, threads, &covers).map(|found| cut_through(comp, &found))
+    unlimited_value(possibly_singular_chains_budgeted(
+        comp,
+        var,
+        predicate,
+        threads,
+        &Budget::unlimited(),
+        &BudgetMeter::new(),
+        None,
+    ))
 }
 
 /// [`possibly_singular_chains`] under a [`Budget`]: covers are still
 /// built eagerly (polynomial, uncharged), then the `∏ᵢ cᵢ` combination
-/// walk runs wave-synchronously, resumable from a checkpoint (see
-/// [`crate::scan::scan_combinations_budgeted`] for the determinism
-/// contract). Panicking predicates surface as
+/// walk runs in waves, resumable from a checkpoint and returning the
+/// lowest-index live combination at every thread count
+/// (`docs/ALGORITHMS.md` §10). Panics surface as
 /// [`DetectError::PredicatePanicked`].
 ///
 /// # Errors
@@ -172,10 +185,7 @@ pub fn possibly_singular_chains_budgeted(
     meter: &BudgetMeter,
     resume: Option<&Checkpoint>,
 ) -> Result<Verdict<Option<Cut>>, DetectError> {
-    let clauses = predicate.clauses();
-    let covers: Vec<Vec<Vec<Candidate>>> = map_indexed(threads, clauses.len(), |i| {
-        clause_chains(comp, var, &clauses[i])
-    });
+    let covers = clause_covers(comp, var, predicate, threads);
     run_odometer(
         SINGULAR_CHAINS,
         comp,

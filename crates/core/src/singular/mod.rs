@@ -25,13 +25,11 @@ mod chains;
 mod ordered;
 mod subsets;
 
-pub(crate) use chains::clause_chains;
 pub use chains::{
     chain_cover_sizes, possibly_singular_chains, possibly_singular_chains_budgeted,
     possibly_singular_chains_par, SINGULAR_CHAINS,
 };
 pub use ordered::{possibly_singular_ordered, NotOrderedError};
-pub(crate) use subsets::literal_choices;
 pub use subsets::{
     possibly_singular_subsets, possibly_singular_subsets_budgeted, possibly_singular_subsets_par,
     possibly_singular_subsets_reference, SINGULAR_SUBSETS,
@@ -39,9 +37,12 @@ pub use subsets::{
 
 use gpd_computation::{BoolVariable, Computation, Cut, ProcessId};
 
-use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict};
+use crate::budget::{
+    unlimited_value, Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict,
+};
 use crate::predicate::SingularCnf;
-use crate::scan::Candidate;
+use crate::scan::{run_odometer, Candidate};
+use crate::slice::Slice;
 
 /// Detects `Possibly(Φ)` with the best applicable algorithm: the §3.2
 /// polynomial scan when the computation is receive- or send-ordered for
@@ -76,17 +77,23 @@ pub fn possibly_singular(
 /// [`possibly_singular`] with the general-case fallback fanned out over
 /// `threads` workers (`0`/`1` → sequential). The §3.2 polynomial special
 /// case runs a single scan and stays sequential; only the combinatorial
-/// chain-cover fallback benefits from the fan-out.
+/// chain-cover fallback benefits from the fan-out. The witness is the
+/// same at every thread count.
 pub fn possibly_singular_par(
     comp: &Computation,
     var: &BoolVariable,
     predicate: &SingularCnf,
     threads: usize,
 ) -> Option<Cut> {
-    match possibly_singular_ordered(comp, var, predicate) {
-        Ok(result) => result,
-        Err(NotOrderedError) => possibly_singular_chains_par(comp, var, predicate, threads),
-    }
+    unlimited_value(possibly_singular_budgeted(
+        comp,
+        var,
+        predicate,
+        threads,
+        &Budget::unlimited(),
+        &BudgetMeter::new(),
+        None,
+    ))
 }
 
 /// [`possibly_singular_par`] under a [`Budget`]: the §3.2 polynomial
@@ -109,17 +116,63 @@ pub fn possibly_singular_budgeted(
     meter: &BudgetMeter,
     resume: Option<&Checkpoint>,
 ) -> Result<Verdict<Option<Cut>>, DetectError> {
-    if let Some(cp) = resume {
-        return if cp.detector() == SINGULAR_SUBSETS {
-            possibly_singular_subsets_budgeted(comp, var, predicate, threads, budget, meter, resume)
-        } else {
-            possibly_singular_chains_budgeted(comp, var, predicate, threads, budget, meter, resume)
-        };
+    possibly_singular_within(comp, var, predicate, None, threads, budget, meter, resume)
+}
+
+/// The one dispatcher behind [`possibly_singular_budgeted`] and
+/// [`crate::slice::possibly_singular_sliced_budgeted`]. Without a slice
+/// the window is the whole lattice `[⊥, ⊤]`. With one, every candidate
+/// state outside the slice window is dropped before the odometer walk
+/// (see [`window_prune`]) and an empty slice decides `None` outright.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn possibly_singular_within(
+    comp: &Computation,
+    var: &BoolVariable,
+    predicate: &SingularCnf,
+    slice: Option<&Slice>,
+    threads: usize,
+    budget: &Budget,
+    meter: &BudgetMeter,
+    resume: Option<&Checkpoint>,
+) -> Result<Verdict<Option<Cut>>, DetectError> {
+    if slice.is_some_and(Slice::is_empty) {
+        // No cut satisfies the envelope Φ implies, so none satisfies Φ.
+        return Ok(Verdict::Decided(None, Progress::with_nodes(meter)));
     }
-    match possibly_singular_ordered(comp, var, predicate) {
-        Ok(result) => Ok(Verdict::Decided(result, Progress::with_nodes(meter))),
-        Err(NotOrderedError) => {
-            possibly_singular_chains_budgeted(comp, var, predicate, threads, budget, meter, None)
+    let detector = match resume {
+        Some(cp) if cp.detector() == SINGULAR_SUBSETS => SINGULAR_SUBSETS,
+        Some(_) => SINGULAR_CHAINS,
+        None => match possibly_singular_ordered(comp, var, predicate) {
+            Ok(result) => return Ok(Verdict::Decided(result, Progress::with_nodes(meter))),
+            Err(NotOrderedError) => SINGULAR_CHAINS,
+        },
+    };
+    let mut choices = if detector == SINGULAR_SUBSETS {
+        subsets::literal_choices(comp, var, predicate)
+    } else {
+        chains::clause_covers(comp, var, predicate, threads)
+    };
+    if let Some((lo, hi)) = slice.and_then(Slice::window) {
+        window_prune(&mut choices, lo, hi);
+    }
+    run_odometer(detector, comp, threads, &choices, budget, meter, resume)
+}
+
+/// Drops candidate states outside the slice window `[mₚ, Mₚ]`. Sound
+/// because any witness cut satisfies `Φ`, hence the envelope, hence lies
+/// inside the window — and the cut passes *through* its chosen candidate
+/// states, so those states are window-bounded too. List shapes (and with
+/// them the odometer fingerprint and combination order) are preserved,
+/// so checkpoints from sliced and unsliced runs stay interchangeable and
+/// witnesses stay byte-identical; only the per-combination scan work
+/// shrinks.
+fn window_prune(choices: &mut [Vec<Vec<Candidate>>], lo: &[u32], hi: &[u32]) {
+    for clause in choices.iter_mut() {
+        for list in clause.iter_mut() {
+            list.retain(|c| {
+                let p = c.process.index();
+                lo[p] <= c.state && c.state <= hi[p]
+            });
         }
     }
 }

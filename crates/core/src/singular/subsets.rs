@@ -3,10 +3,10 @@
 
 use gpd_computation::{BoolVariable, Computation, Cut};
 
-use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
+use crate::budget::{unlimited_value, Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
 use crate::par::search_combinations;
 use crate::predicate::SingularCnf;
-use crate::scan::{cut_through, run_odometer, scan_combinations_shared, scan_restart, Candidate};
+use crate::scan::{cut_through, run_odometer, scan_restart, Candidate};
 use crate::singular::literal_states;
 
 /// Engine name embedded in [`possibly_singular_subsets_budgeted`]'s
@@ -81,27 +81,35 @@ pub fn possibly_singular_subsets(
 }
 
 /// [`possibly_singular_subsets`] with its `∏ᵢ kᵢ` scans fanned out over
-/// `threads` workers (`0`/`1` → the sequential walk; see [`crate::par`]
-/// for the scheduling and determinism contract). Workers own contiguous
-/// odometer subranges with private snapshot stacks, so prefix sharing
-/// survives the split; a witness found by any worker cancels the rest.
+/// `threads` workers (`0`/`1` → sequential; see
+/// [`possibly_singular_subsets_budgeted`] for the walk). Each worker
+/// keeps one snapshot stack for the whole walk, so prefix sharing
+/// survives the split, and the witness is the sequential one at every
+/// thread count.
 pub fn possibly_singular_subsets_par(
     comp: &Computation,
     var: &BoolVariable,
     predicate: &SingularCnf,
     threads: usize,
 ) -> Option<Cut> {
-    let choices = literal_choices(comp, var, predicate);
-    scan_combinations_shared(comp, threads, &choices).map(|found| cut_through(comp, &found))
+    unlimited_value(possibly_singular_subsets_budgeted(
+        comp,
+        var,
+        predicate,
+        threads,
+        &Budget::unlimited(),
+        &BudgetMeter::new(),
+        None,
+    ))
 }
 
-/// [`possibly_singular_subsets`] under a [`Budget`]: the same `∏ᵢ kᵢ`
-/// odometer walk, wave-synchronous and resumable (see
-/// [`crate::scan::scan_combinations_budgeted`] for the determinism
-/// contract). An exhausted budget returns [`Verdict::Unknown`] with the
-/// count of combinations soundly eliminated and a checkpoint at the
-/// interrupted wave's start; panicking predicates surface as
-/// [`DetectError::PredicatePanicked`].
+/// [`possibly_singular_subsets`] under a [`Budget`]: the `∏ᵢ kᵢ`
+/// odometer walk in waves, resumable, returning the lowest-index live
+/// combination at every thread count (`docs/ALGORITHMS.md` §10 gives the
+/// wave and checkpoint rules). An exhausted budget returns
+/// [`Verdict::Unknown`] with the count of combinations soundly
+/// eliminated and a checkpoint at the first one not yet eliminated;
+/// panics surface as [`DetectError::PredicatePanicked`].
 ///
 /// # Errors
 ///

@@ -53,17 +53,14 @@ use std::collections::{HashMap, HashSet};
 use gpd_computation::{BoolVariable, ChannelIndex, Computation, Cut, EventId, ProcessId};
 
 use crate::budget::{
-    catch_detect, problem_fingerprint, Budget, BudgetMeter, Checkpoint, DetectError, ExhaustReason,
-    Progress, Verdict,
+    catch_detect, problem_fingerprint, unlimited_value, Budget, BudgetMeter, Checkpoint,
+    DetectError, ExhaustReason, Progress, Verdict,
 };
 use crate::conjunctive::definitely_conjunctive;
 use crate::counters;
 use crate::enumerate::LevelSweep;
 use crate::predicate::SingularCnf;
-use crate::scan::{run_odometer, Candidate};
-use crate::singular::{
-    clause_chains, literal_choices, possibly_singular_ordered, NotOrderedError, SINGULAR_SUBSETS,
-};
+use crate::singular::possibly_singular_within;
 
 /// Engine name embedded in [`possibly_by_enumeration_sliced_budgeted`]'s
 /// checkpoints.
@@ -467,18 +464,7 @@ pub fn definitely_slice(comp: &Computation, pred: &RegularPredicate) -> bool {
     // Channel-constrained: windowed ¬B sweep via the sliced levelwise
     // engine with an unlimited budget.
     let slice = Slice::build(comp, pred);
-    match definitely_levelwise_sliced_budgeted(
-        comp,
-        &slice,
-        |cut| pred.holds(cut),
-        0,
-        &Budget::unlimited(),
-        &BudgetMeter::new(),
-        None,
-    ) {
-        Ok(verdict) => *verdict.value().expect("unlimited budgets always decide"),
-        Err(err) => unreachable!("no resume checkpoint and no panicking predicate: {err}"),
-    }
+    definitely_levelwise_sliced(comp, &slice, |cut| pred.holds(cut), 0)
 }
 
 /// One equivalence class of the reduced event graph: the events sharing
@@ -773,34 +759,6 @@ where
     catch_detect(move || sweep.possibly(&predicate, Some(hi), start))
 }
 
-/// [`possibly_by_enumeration_sliced_budgeted`] with an unlimited budget:
-/// always decides.
-pub fn possibly_by_enumeration_sliced<F>(
-    comp: &Computation,
-    slice: &Slice,
-    predicate: F,
-    threads: usize,
-) -> Option<Cut>
-where
-    F: Fn(&Cut) -> bool + Sync,
-{
-    match possibly_by_enumeration_sliced_budgeted(
-        comp,
-        slice,
-        predicate,
-        threads,
-        &Budget::unlimited(),
-        &BudgetMeter::new(),
-        None,
-    ) {
-        Ok(verdict) => verdict
-            .value()
-            .expect("unlimited budgets always decide")
-            .clone(),
-        Err(err) => unreachable!("no resume checkpoint was supplied: {err}"),
-    }
-}
-
 /// [`crate::enumerate::definitely_levelwise_budgeted`] with the `¬Φ`
 /// sweep confined to the slice window: below level `|m|` successors are
 /// kept without evaluating `Φ` (no cut there can satisfy the envelope),
@@ -854,7 +812,7 @@ pub fn definitely_levelwise_sliced<F>(
 where
     F: Fn(&Cut) -> bool + Sync,
 {
-    match definitely_levelwise_sliced_budgeted(
+    unlimited_value(definitely_levelwise_sliced_budgeted(
         comp,
         slice,
         predicate,
@@ -862,110 +820,16 @@ where
         &Budget::unlimited(),
         &BudgetMeter::new(),
         None,
-    ) {
-        Ok(verdict) => *verdict.value().expect("unlimited budgets always decide"),
-        Err(err) => unreachable!("no resume checkpoint was supplied: {err}"),
-    }
-}
-
-/// Drops candidate states outside the slice window `[mₚ, Mₚ]`. Sound
-/// because any witness cut satisfies `Φ`, hence the envelope, hence lies
-/// inside the window — and the cut passes *through* its chosen candidate
-/// states, so those states are window-bounded too. List shapes (and with
-/// them the odometer fingerprint and combination order) are preserved,
-/// so checkpoints from sliced and unsliced runs stay interchangeable and
-/// witnesses stay byte-identical; only the per-combination scan work
-/// shrinks.
-fn window_prune(choices: &mut [Vec<Vec<Candidate>>], lo: &[u32], hi: &[u32]) {
-    for clause in choices.iter_mut() {
-        for list in clause.iter_mut() {
-            list.retain(|c| {
-                let p = c.process.index();
-                lo[p] <= c.state && c.state <= hi[p]
-            });
-        }
-    }
-}
-
-/// [`crate::singular::possibly_singular_subsets_budgeted`] with the
-/// literal-state lists window-pruned by the slice. Decides `None`
-/// outright on an empty slice.
-///
-/// # Errors
-///
-/// [`DetectError::CheckpointMismatch`] on a foreign `resume`;
-/// [`DetectError::PredicatePanicked`] if a scan panics.
-#[allow(clippy::too_many_arguments)]
-pub fn possibly_singular_subsets_sliced_budgeted(
-    comp: &Computation,
-    var: &BoolVariable,
-    predicate: &SingularCnf,
-    slice: &Slice,
-    threads: usize,
-    budget: &Budget,
-    meter: &BudgetMeter,
-    resume: Option<&Checkpoint>,
-) -> Result<Verdict<Option<Cut>>, DetectError> {
-    let Some((lo, hi)) = slice.window() else {
-        return Ok(Verdict::Decided(None, Progress::with_nodes(meter)));
-    };
-    let mut choices = literal_choices(comp, var, predicate);
-    window_prune(&mut choices, lo, hi);
-    run_odometer(
-        SINGULAR_SUBSETS,
-        comp,
-        threads,
-        &choices,
-        budget,
-        meter,
-        resume,
-    )
-}
-
-/// [`crate::singular::possibly_singular_chains_budgeted`] with the chain
-/// covers window-pruned by the slice (a pruned chain is still a chain).
-/// Decides `None` outright on an empty slice.
-///
-/// # Errors
-///
-/// [`DetectError::CheckpointMismatch`] on a foreign `resume`;
-/// [`DetectError::PredicatePanicked`] if a scan panics.
-#[allow(clippy::too_many_arguments)]
-pub fn possibly_singular_chains_sliced_budgeted(
-    comp: &Computation,
-    var: &BoolVariable,
-    predicate: &SingularCnf,
-    slice: &Slice,
-    threads: usize,
-    budget: &Budget,
-    meter: &BudgetMeter,
-    resume: Option<&Checkpoint>,
-) -> Result<Verdict<Option<Cut>>, DetectError> {
-    let Some((lo, hi)) = slice.window() else {
-        return Ok(Verdict::Decided(None, Progress::with_nodes(meter)));
-    };
-    let clauses = predicate.clauses();
-    let mut covers: Vec<Vec<Vec<Candidate>>> =
-        crate::par::map_indexed(threads, clauses.len(), |i| {
-            clause_chains(comp, var, &clauses[i])
-        });
-    window_prune(&mut covers, lo, hi);
-    run_odometer(
-        crate::singular::SINGULAR_CHAINS,
-        comp,
-        threads,
-        &covers,
-        budget,
-        meter,
-        resume,
-    )
+    ))
 }
 
 /// [`crate::singular::possibly_singular_budgeted`] with the SliceReduce
 /// pre-pass: the §3.2 polynomial special case still short-circuits
 /// (slicing cannot improve on one scan), and the combinatorial fallback
-/// runs window-pruned. Resume checkpoints route by engine name exactly
-/// like the unsliced dispatcher — they are interchangeable with it.
+/// runs with every candidate state outside the slice window dropped. An
+/// empty slice decides `None` outright. The pruning keeps the odometer's
+/// shape, so checkpoints are interchangeable with the unsliced
+/// dispatcher's and witnesses are byte-identical to it.
 ///
 /// # Errors
 ///
@@ -982,23 +846,16 @@ pub fn possibly_singular_sliced_budgeted(
     meter: &BudgetMeter,
     resume: Option<&Checkpoint>,
 ) -> Result<Verdict<Option<Cut>>, DetectError> {
-    if let Some(cp) = resume {
-        return if cp.detector() == SINGULAR_SUBSETS {
-            possibly_singular_subsets_sliced_budgeted(
-                comp, var, predicate, slice, threads, budget, meter, resume,
-            )
-        } else {
-            possibly_singular_chains_sliced_budgeted(
-                comp, var, predicate, slice, threads, budget, meter, resume,
-            )
-        };
-    }
-    match possibly_singular_ordered(comp, var, predicate) {
-        Ok(result) => Ok(Verdict::Decided(result, Progress::with_nodes(meter))),
-        Err(NotOrderedError) => possibly_singular_chains_sliced_budgeted(
-            comp, var, predicate, slice, threads, budget, meter, None,
-        ),
-    }
+    possibly_singular_within(
+        comp,
+        var,
+        predicate,
+        Some(slice),
+        threads,
+        budget,
+        meter,
+        resume,
+    )
 }
 
 #[cfg(test)]
@@ -1259,10 +1116,19 @@ mod tests {
             )
             .unwrap();
             for threads in [0, 2, 4] {
-                let sliced = possibly_by_enumeration_sliced(&comp, &slice, phi, threads);
+                let sliced = possibly_by_enumeration_sliced_budgeted(
+                    &comp,
+                    &slice,
+                    phi,
+                    threads,
+                    &Budget::unlimited(),
+                    &BudgetMeter::new(),
+                    None,
+                )
+                .unwrap();
                 assert_eq!(
                     plain.value().unwrap(),
-                    &sliced,
+                    sliced.value().unwrap(),
                     "round {round}, threads {threads}"
                 );
             }
@@ -1291,10 +1157,18 @@ mod tests {
         assert!(slice.is_empty());
         assert_eq!(slice.nodes_after(), 0);
         assert_eq!(slice.cuts(&comp), Vec::<Cut>::new());
-        assert_eq!(
-            possibly_by_enumeration_sliced(&comp, &slice, |_| true, 0),
-            None
+        let meter = BudgetMeter::new();
+        let budget = Budget::unlimited();
+        let possibly = possibly_by_enumeration_sliced_budgeted(
+            &comp,
+            &slice,
+            |_| true,
+            0,
+            &budget,
+            &meter,
+            None,
         );
+        assert_eq!(possibly.unwrap().value(), Some(&None));
         assert!(!definitely_levelwise_sliced(&comp, &slice, |_| true, 0));
     }
 
