@@ -929,6 +929,34 @@ fn parallel_sweep_comparison(quick: bool) -> String {
     entries.join(",\n")
 }
 
+/// The scalar side of the batched-dominance microbench: total
+/// violations, one row at a time. Out of line, like
+/// [`batched_violations`], so both loops keep the same codegen however
+/// the rest of the report binary is inlined and laid out.
+#[inline(never)]
+fn scalar_violations(rows: &[&[u32]], bound: &[u32]) -> u64 {
+    rows.iter()
+        .map(|row| u64::from(gpd_computation::kernel::violations(row, bound)))
+        .sum()
+}
+
+/// The batched side of the microbench: the same total, `BATCH` rows per
+/// kernel call.
+#[inline(never)]
+fn batched_violations(rows: &[&[u32]], bound: &[u32]) -> u64 {
+    use gpd_computation::kernel;
+    let mut acc = 0u64;
+    let mut out = [0u32; kernel::BATCH];
+    for group in rows.chunks(kernel::BATCH) {
+        kernel::violations_batch(group, bound, &mut out[..group.len()]);
+        acc += out[..group.len()]
+            .iter()
+            .map(|&v| u64::from(v))
+            .sum::<u64>();
+    }
+    acc
+}
+
 /// The PR 7 dominance microbench: scalar row-at-a-time
 /// `kernel::violations` vs the column-major batched
 /// `kernel::violations_batch` over identical candidate matrices. The
@@ -942,8 +970,8 @@ fn parallel_sweep_comparison(quick: bool) -> String {
 /// the batched pass must clear the ≥1.3× single-thread floor the
 /// batching is for.
 fn batched_kernel_comparison(quick: bool) -> String {
-    use gpd_computation::kernel;
     use rand::Rng;
+    use std::hint::black_box;
 
     println!("## Batched dominance kernel vs scalar (PR 7 microbench)\n");
     println!("| rows × width | checksum | scalar median | batched median | speedup |");
@@ -967,23 +995,10 @@ fn batched_kernel_comparison(quick: bool) -> String {
     let bound: Vec<u32> = (0..width).map(|_| rng.gen_range(0..64)).collect();
 
     let (scalar_sum, scalar_ns) = bench_median(reps, || {
-        let mut acc = 0u64;
-        for row in &rows {
-            acc += u64::from(kernel::violations(row, &bound));
-        }
-        acc
+        scalar_violations(black_box(&rows), black_box(&bound))
     });
     let (batched_sum, batched_ns) = bench_median(reps, || {
-        let mut acc = 0u64;
-        let mut out = [0u32; kernel::BATCH];
-        for group in rows.chunks(kernel::BATCH) {
-            kernel::violations_batch(group, &bound, &mut out[..group.len()]);
-            acc += out[..group.len()]
-                .iter()
-                .map(|&v| u64::from(v))
-                .sum::<u64>();
-        }
-        acc
+        batched_violations(black_box(&rows), black_box(&bound))
     });
     assert_eq!(
         scalar_sum, batched_sum,

@@ -277,8 +277,7 @@ impl Computation {
 
     /// The least consistent cut containing `e`: exactly `e`'s causal
     /// past, whose frontier is `e`'s clock row. One metered matrix-row
-    /// copy — the slicing engine calls this once per event to seed its
-    /// least-satisfying-cut fixpoints.
+    /// copy.
     pub fn least_cut_containing(&self, e: EventId) -> Cut {
         counters::add_clock_row_reads(1);
         Cut::from_frontier(self.clock_row(e).to_vec())

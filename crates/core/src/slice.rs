@@ -43,6 +43,13 @@
 //! [`slice_nodes_after`](crate::counters::ScanCounters::slice_nodes_after)
 //! and surfaces in `gpd detect --stats` and the `gpd-bench` E-row.
 //!
+//! [`Slice::build_budgeted`] computes every `J(e)` along its process
+//! chain: `J(e)` is the least `B`-cut above `J(prev) ⊔ vc(e)`, where
+//! `prev` is `e`'s predecessor on its process, so one worklist fixpoint
+//! carries the frontier from event to event and repairs only the
+//! entries that rose. A chain whose `J` dies stays dead. The build costs
+//! `O(n²|E|)` in all.
+//!
 //! Slicing time itself is budgeted: [`Slice::build_budgeted`] charges
 //! the shared [`BudgetMeter`] per event and aborts on an exhausted
 //! [`Budget`], letting callers fall back to the unsliced engine with
@@ -259,81 +266,149 @@ impl RegularPredicate {
 }
 
 /// The least `B`-cut whose frontier dominates `start`, or `None` if no
-/// `B`-cut lies above `start`. A repair fixpoint: each pass advances
-/// frontier entries that *every* `B`-cut above the current frontier is
-/// forced to advance — consistency closure (a frontier event pulls in
-/// its causal past), local membership (skip to the next allowed state),
-/// and channel bounds (an overfull channel forces the next receive, an
-/// underfull one the next send). Every step is forced and strictly
-/// increases one entry, so the fixpoint is the least `B`-cut above
-/// `start` and terminates within `event_count` advances.
+/// `B`-cut lies above `start`: the [`Worklist`] fixpoint with every
+/// process queued.
 fn lub(comp: &Computation, pred: &RegularPredicate, start: &[u32]) -> Option<Vec<u32>> {
-    let n = comp.process_count();
-    debug_assert_eq!(start.len(), n);
+    debug_assert_eq!(start.len(), comp.process_count());
     let mut f = start.to_vec();
-    loop {
-        let mut changed = false;
-        // Local membership: advance each process to its next allowed
-        // state (possibly the current one).
-        for p in 0..n {
+    let mut fix = Worklist::new(comp, pred);
+    for p in 0..f.len() {
+        fix.push(p);
+    }
+    fix.settle(&mut f).then_some(f)
+}
+
+/// The repair fixpoint behind [`lub`]: a queue of processes whose
+/// frontier entry rose. Processing `p` advances it to its next allowed
+/// state, repairs the channel bounds that touch `p` (an overfull channel
+/// forces the next receive, an underfull one the next send), and raises
+/// every other entry to the clock row of `p`'s frontier event (its
+/// causal past lies in every consistent cut containing it). Every step
+/// is forced on every `B`-cut above the current frontier and strictly
+/// raises one entry, so the fixpoint is the least `B`-cut above the
+/// starting frontier and costs `O(n)` per advance.
+///
+/// Invariant between steps: every process off the queue sits in an
+/// allowed state with its frontier event's causal past inside `f`, and
+/// every channel bound whose endpoints are both off the queue holds. An
+/// empty queue therefore means `f` is a `B`-cut, and raising entries of
+/// a `B`-cut only needs the raised processes queued.
+struct Worklist<'a> {
+    comp: &'a Computation,
+    pred: &'a RegularPredicate,
+    /// `touching[p]`: indices of the channel bounds with `p` as an
+    /// endpoint.
+    touching: Vec<Vec<usize>>,
+    queue: Vec<usize>,
+    queued: Vec<bool>,
+}
+
+impl<'a> Worklist<'a> {
+    fn new(comp: &'a Computation, pred: &'a RegularPredicate) -> Self {
+        let n = comp.process_count();
+        let mut touching = vec![Vec::new(); n];
+        for (i, c) in pred.channels.iter().enumerate() {
+            touching[c.from.index()].push(i);
+            touching[c.to.index()].push(i);
+        }
+        Worklist {
+            comp,
+            pred,
+            touching,
+            queue: Vec::with_capacity(n),
+            queued: vec![false; n],
+        }
+    }
+
+    fn push(&mut self, p: usize) {
+        if !self.queued[p] {
+            self.queued[p] = true;
+            self.queue.push(p);
+        }
+    }
+
+    /// Raises `f[q]` to `to`, queueing `q`, if that is an increase.
+    fn raise(&mut self, f: &mut [u32], q: usize, to: u32) {
+        if f[q] < to {
+            f[q] = to;
+            self.push(q);
+        }
+    }
+
+    /// Runs the queue dry: `true` with `f` the least `B`-cut above it,
+    /// or `false` (queue cleared) when no `B`-cut lies above `f`.
+    fn settle(&mut self, f: &mut [u32]) -> bool {
+        while let Some(p) = self.queue.pop() {
+            self.queued[p] = false;
+            if !self.process(f, p) {
+                for q in self.queue.drain(..) {
+                    self.queued[q] = false;
+                }
+                return false;
+            }
+        }
+        true
+    }
+
+    /// One step for `p`; `false` when a forced advance runs past the end
+    /// of a process.
+    fn process(&mut self, f: &mut [u32], p: usize) -> bool {
+        let pred = self.pred;
+        loop {
+            // Local membership: the next allowed state (possibly the
+            // current one).
             if let Some(allowed) = &pred.local[p] {
                 match allowed[f[p] as usize..].iter().position(|&ok| ok) {
-                    Some(0) => {}
-                    Some(off) => {
-                        f[p] += off as u32;
-                        changed = true;
+                    Some(off) => f[p] += off as u32,
+                    None => return false,
+                }
+            }
+            let before = f[p];
+            for i in 0..self.touching[p].len() {
+                let c = &pred.channels[self.touching[p][i]];
+                let (from, to) = (c.from.index(), c.to.index());
+                let sent = i64::from(pred.index.sent_until(c.from, c.to, f[from]));
+                let received = i64::from(pred.index.received_until(c.from, c.to, f[to]));
+                let bound = i64::from(c.bound);
+                let (q, pos) = match c.op {
+                    ChannelOp::AtMost if sent - received > bound => {
+                        // Any B-cut above f keeps at least `sent` sends,
+                        // so it must have executed the
+                        // (sent − bound)-th receive.
+                        let r = (sent - bound) as usize;
+                        (to, pred.index.receive_positions(c.from, c.to)[r - 1])
                     }
-                    None => return None,
-                }
-            }
-        }
-        // Consistency closure: each frontier event's clock row is a
-        // lower bound on any consistent cut containing it.
-        for p in 0..n {
-            if f[p] == 0 {
-                continue;
-            }
-            let e = comp.event_at(p, f[p]).expect("frontier within range");
-            for (q, fq) in f.iter_mut().enumerate() {
-                let need = comp.clock_component(e, q);
-                if *fq < need {
-                    *fq = need;
-                    changed = true;
-                }
-            }
-        }
-        for c in &pred.channels {
-            let sent = i64::from(pred.index.sent_until(c.from, c.to, f[c.from.index()]));
-            let received = i64::from(pred.index.received_until(c.from, c.to, f[c.to.index()]));
-            let bound = i64::from(c.bound);
-            match c.op {
-                ChannelOp::AtMost if sent - received > bound => {
-                    // Any B-cut above f keeps at least `sent` sends, so it
-                    // must have executed the (sent − bound)-th receive.
-                    let r = (sent - bound) as usize;
-                    let pos = pred.index.receive_positions(c.from, c.to)[r - 1];
-                    debug_assert!(pos > f[c.to.index()]);
-                    f[c.to.index()] = pos;
-                    changed = true;
-                }
-                ChannelOp::AtLeast if sent - received < bound => {
-                    // At least `received + bound` sends are forced.
-                    let s = (received + bound) as usize;
-                    let sends = pred.index.send_positions(c.from, c.to);
-                    if s > sends.len() {
-                        return None;
+                    ChannelOp::AtLeast if sent - received < bound => {
+                        // At least `received + bound` sends are forced.
+                        let s = (received + bound) as usize;
+                        let sends = pred.index.send_positions(c.from, c.to);
+                        if s > sends.len() {
+                            return false;
+                        }
+                        (from, sends[s - 1])
                     }
-                    let pos = sends[s - 1];
-                    debug_assert!(pos > f[c.from.index()]);
-                    f[c.from.index()] = pos;
-                    changed = true;
+                    _ => continue,
+                };
+                debug_assert!(pos > f[q]);
+                if q == p {
+                    f[p] = pos;
+                } else {
+                    self.raise(f, q, pos);
                 }
-                _ => {}
+            }
+            if f[p] == before {
+                break;
             }
         }
-        if !changed {
-            return Some(f);
+        // Consistency closure: the frontier event's clock row is a lower
+        // bound on any consistent cut containing it.
+        if let Some(e) = self.comp.event_at(p, f[p]) {
+            for q in 0..f.len() {
+                let need = self.comp.clock_component(e, q);
+                self.raise(f, q, need);
+            }
         }
+        true
     }
 }
 
@@ -548,13 +623,32 @@ impl Slice {
             .expect("a B-cut exists, so a greatest one does");
         let mut jmat = vec![0u32; events * n];
         let mut has_j = vec![false; events];
-        for e in comp.events() {
-            check()?;
-            meter.charge(1);
-            let seed = comp.least_cut_containing(e);
-            if let Some(j) = lub(comp, pred, seed.frontier()) {
-                jmat[e.index() * n..(e.index() + 1) * n].copy_from_slice(&j);
-                has_j[e.index()] = true;
+        // Chain walk: any B-cut containing `e` contains its predecessor
+        // on the process, so J(e) is the least B-cut above
+        // J(prev) ⊔ vc(e), and only the entries that join raised need
+        // repair. The initial state's J is the least B-cut; once a J is
+        // missing, every later event on the chain has none either.
+        let mut fix = Worklist::new(comp, pred);
+        let mut f = vec![0u32; n];
+        for p in 0..n {
+            f.copy_from_slice(&least);
+            let mut alive = true;
+            for &e in comp.events_of(p) {
+                check()?;
+                meter.charge(1);
+                // One counted clock-row read per event, dead or alive.
+                let row = comp.clock(e);
+                if !alive {
+                    continue;
+                }
+                for (q, &v) in row.as_slice().iter().enumerate() {
+                    fix.raise(&mut f, q, v);
+                }
+                alive = fix.settle(&mut f);
+                if alive {
+                    jmat[e.index() * n..(e.index() + 1) * n].copy_from_slice(&f);
+                    has_j[e.index()] = true;
+                }
             }
         }
         let classes = {
@@ -879,10 +973,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn random_regular<R: Rng>(rng: &mut R, comp: &Computation, density: f64) -> RegularPredicate {
-        let n = comp.process_count();
+    /// Allowed-state sets on ~70% of the processes.
+    fn random_local<R: Rng>(rng: &mut R, comp: &Computation, density: f64) -> RegularPredicate {
         let mut pred = RegularPredicate::unconstrained(comp);
-        for p in 0..n {
+        for p in 0..comp.process_count() {
             if rng.gen_bool(0.7) {
                 let allowed: Vec<bool> = (0..=comp.events_on(p))
                     .map(|_| rng.gen_bool(density))
@@ -890,6 +984,11 @@ mod tests {
                 pred = pred.require_states(p, allowed);
             }
         }
+        pred
+    }
+
+    fn random_regular<R: Rng>(rng: &mut R, comp: &Computation, density: f64) -> RegularPredicate {
+        let mut pred = random_local(rng, comp, density);
         // Occasionally bound a channel that actually carries messages.
         if rng.gen_bool(0.5) {
             if let Some(&(s, r)) = comp.messages().first() {
@@ -903,6 +1002,128 @@ mod tests {
             }
         }
         pred
+    }
+
+    /// Like [`random_regular`], but with up to four channel bounds of
+    /// either direction on channels that carry messages.
+    fn random_regular_channels<R: Rng>(
+        rng: &mut R,
+        comp: &Computation,
+        density: f64,
+    ) -> RegularPredicate {
+        let mut pred = random_local(rng, comp, density);
+        if !comp.messages().is_empty() {
+            for _ in 0..rng.gen_range(0..5) {
+                let (s, r) = comp.messages()[rng.gen_range(0..comp.messages().len())];
+                let op = if rng.gen_bool(0.5) {
+                    ChannelOp::AtMost
+                } else {
+                    ChannelOp::AtLeast
+                };
+                pred = pred.require_channel(
+                    comp.process_of(s),
+                    comp.process_of(r),
+                    op,
+                    rng.gen_range(0..3),
+                );
+            }
+        }
+        pred
+    }
+
+    #[test]
+    fn j_is_the_meet_of_the_b_cuts_containing_each_event() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(60607);
+        let (mut some, mut none) = (0, 0);
+        for round in 0..150 {
+            let n = rng.gen_range(1..5);
+            let m = rng.gen_range(1..5);
+            let msgs = if n > 1 { rng.gen_range(0..2 * n) } else { 0 };
+            let comp = gen::random_computation(&mut rng, n, m, msgs);
+            let density = rng.gen_range(0.3..0.9);
+            let pred = random_regular_channels(&mut rng, &comp, density);
+            let b_cuts: Vec<Cut> = comp.consistent_cuts().filter(|c| pred.holds(c)).collect();
+            let slice = Slice::build(&comp, &pred);
+            for e in comp.events() {
+                let (p, k) = (comp.process_of(e).index(), comp.local_index(e));
+                let meet = b_cuts
+                    .iter()
+                    .filter(|c| c.frontier()[p] >= k)
+                    .map(|c| c.frontier().to_vec())
+                    .reduce(|a, b| a.iter().zip(&b).map(|(&x, &y)| x.min(y)).collect());
+                match &meet {
+                    Some(_) => some += 1,
+                    None => none += 1,
+                }
+                assert_eq!(slice.j(e), meet.as_deref(), "round {round}, event {e:?}");
+            }
+        }
+        assert!(some > 0 && none > 0, "inputs must cover both cases");
+    }
+
+    /// The slice as one fixpoint per event from `vc(e)` computes it,
+    /// metering one node per fixpoint: `(window, J per event, classes,
+    /// meter nodes)`.
+    #[allow(clippy::type_complexity)]
+    fn slice_from_scratch(
+        comp: &Computation,
+        pred: &RegularPredicate,
+    ) -> (
+        Option<(Vec<u32>, Vec<u32>)>,
+        Vec<Option<Vec<u32>>>,
+        usize,
+        u64,
+    ) {
+        let n = comp.process_count();
+        let Some(least) = lub(comp, pred, &vec![0; n]) else {
+            return (None, vec![None; comp.event_count()], 0, 1);
+        };
+        let greatest = glb(comp, pred, comp.final_cut().frontier()).unwrap();
+        let js: Vec<Option<Vec<u32>>> = comp
+            .events()
+            .map(|e| lub(comp, pred, comp.clock(e).as_slice()))
+            .collect();
+        let classes = js.iter().flatten().collect::<HashSet<_>>().len();
+        (
+            Some((least, greatest)),
+            js,
+            classes,
+            2 + comp.event_count() as u64,
+        )
+    }
+
+    #[test]
+    fn chain_walk_matches_per_event_fixpoints() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(60608);
+        let (mut dead_chains, mut live) = (0, 0);
+        for round in 0..40 {
+            let n = rng.gen_range(2..17);
+            let m = rng.gen_range(1..41);
+            let msgs = rng.gen_range(0..n * m / 2 + 1);
+            let comp = gen::random_computation(&mut rng, n, m, msgs);
+            let density = rng.gen_range(0.4..1.0);
+            let pred = random_regular_channels(&mut rng, &comp, density);
+            let meter = BudgetMeter::new();
+            let slice = Slice::build_budgeted(&comp, &pred, &Budget::unlimited(), &meter).unwrap();
+            let (window, js, classes, nodes) = slice_from_scratch(&comp, &pred);
+            assert_eq!(
+                slice.window(),
+                window.as_ref().map(|(lo, hi)| (&lo[..], &hi[..])),
+                "round {round}"
+            );
+            for e in comp.events() {
+                assert_eq!(slice.j(e), js[e.index()].as_deref(), "round {round}, {e:?}");
+            }
+            assert_eq!(slice.nodes_after(), classes, "round {round}");
+            assert_eq!(meter.nodes(), nodes, "round {round}");
+            if js.iter().any(Option::is_some) {
+                live += 1;
+                if js.iter().any(Option::is_none) {
+                    dead_chains += 1;
+                }
+            }
+        }
+        assert!(live > 0 && dead_chains > 0, "inputs must cover dead chains");
     }
 
     #[test]
